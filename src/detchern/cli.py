@@ -2,7 +2,8 @@
 
 Subcommands compute any of the classes, cycles and degrees, render them as
 JSON, CSV or markdown, reproduce the bundled reference tables, scan the
-effectivity/vanishing conjectures, and persist the expansion caches.
+effectivity/vanishing conjectures, and persist computed Chern-Mather
+classes across runs.
 
 Exit codes: 0 success, 2 parameter errors, 3 internal consistency failure.
 Integers are always rendered as decimal strings; repeated invocations with
@@ -44,18 +45,12 @@ from .lagrangian import (
     symmetry_check,
 )
 from .microlocal import determinantal_system, ic_char_cycle, solve_multiplicities
-from .partitions import lr_cache_export, lr_cache_import
 from .schubert import a_matrix, set_box_cell_limit
 
 TOOL_VERSION = "detchern 0.1.0"
 DOC_VERSION = "1"
 CACHE_VERSION = "detchern-cache-1"
 CACHE_DIR_ENV = "DETCHERN_CACHE_DIR"
-
-VECTOR_KINDS = {
-    "cm", "csm", "csm_open", "eu", "fulton", "milnor",
-    "conormal", "charcycle", "charcycle_open", "polar", "microlocal",
-}
 
 
 @dataclass
@@ -252,70 +247,52 @@ def reproduce_reference_tables(fixtures=None) -> TableReport:
 
 
 # --- cache persistence ------------------------------------------------------
-
-
-def _partition_key(lam) -> str:
-    return ",".join(str(p) for p in lam)
-
-
-def _parse_partition(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",")) if text else ()
+#
+# Only Chern-Mather classes persist (cm.json): every other value is rebuilt
+# from them or recomputed faster than a larger file loads.
 
 
 def load_caches(cache_dir: str) -> None:
-    for filename, loader in (("lr.json", _load_lr), ("cm.json", _load_cm)):
-        path = os.path.join(cache_dir, filename)
-        if not os.path.exists(path):
-            continue
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if data.get("version") != CACHE_VERSION:
-                continue  # stale format: rebuild silently
-            loader(data)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"warning: ignoring corrupt cache {path}: {exc}", file=sys.stderr)
-
-
-def _load_lr(data: dict) -> None:
-    entries = {}
-    for key, expansion in data["lr"].items():
-        lam_text, mu_text = key.split("|")
-        entries[(_parse_partition(lam_text), _parse_partition(mu_text))] = {
-            _parse_partition(nu): int(c) for nu, c in expansion.items()
-        }
-    lr_cache_import(entries)
-
-
-def _load_cm(data: dict) -> None:
-    entries = {}
-    for key, coeffs in data["cm"].items():
-        m, n, k = (int(x) for x in key.split(","))
-        entries[(m, n, k)] = tuple(int(c) for c in coeffs)
-    cm_cache_import(entries)
+    path = os.path.join(cache_dir, "cm.json")
+    if not os.path.exists(path):
+        return
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if data.get("version") != CACHE_VERSION:
+            return  # stale format: rebuild silently
+        entries = {}
+        for key, coeffs in data["cm"].items():
+            m, n, k = (int(x) for x in key.split(","))
+            if not (0 <= k <= n - 1 <= m - 1) or not isinstance(coeffs, list) or len(coeffs) != m * n:
+                raise ValueError(f"entry {key!r} does not describe a class of tau(m, n, k)")
+            entries[(m, n, k)] = tuple(int(c) for c in coeffs)
+        cm_cache_import(entries)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"warning: ignoring corrupt cache {path}: {exc}", file=sys.stderr)
 
 
 def save_caches(cache_dir: str) -> None:
+    """Write cm.json atomically: a temp file in the same directory is moved
+    into place, so a reader never sees a half-written file."""
     os.makedirs(cache_dir, exist_ok=True)
-    lr_payload = {
-        "version": CACHE_VERSION,
-        "lr": {
-            f"{_partition_key(lam)}|{_partition_key(mu)}": {
-                _partition_key(nu): c for nu, c in sorted(expansion.items())
-            }
-            for (lam, mu), expansion in sorted(lr_cache_export().items())
-        },
-    }
-    cm_payload = {
+    payload = {
         "version": CACHE_VERSION,
         "cm": {
             f"{m},{n},{k}": [str(c) for c in coeffs]
             for (m, n, k), coeffs in sorted(cm_cache_export().items())
         },
     }
-    for filename, payload in (("lr.json", lr_payload), ("cm.json", cm_payload)):
-        with open(os.path.join(cache_dir, filename), "w", encoding="utf-8") as fh:
+    path = os.path.join(cache_dir, "cm.json")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 # --- command dispatch -------------------------------------------------------
@@ -499,6 +476,8 @@ def run(argv) -> int:
                 print(f"instances_checked,{report.instances_checked}")
                 print(f"effectivity_violations,{len(report.effectivity_violations)}")
                 print(f"vanishing_violations,{len(report.vanishing_violations)}")
+            if not report.ok:
+                return 3
         elif args.command == "tables":
             report = reproduce_reference_tables()
             if args.format == "json":
@@ -521,7 +500,10 @@ def run(argv) -> int:
             doc = compute_document(args.command, args.m, args.n, args.k, check=args.check)
             print(_render(doc, args.format))
         if cache_dir:
-            save_caches(cache_dir)
+            try:
+                save_caches(cache_dir)
+            except OSError as exc:
+                print(f"warning: could not save cache to {cache_dir}: {exc}", file=sys.stderr)
     except (ParameterError, BoxSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

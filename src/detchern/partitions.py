@@ -4,7 +4,8 @@ Partitions are plain tuples of weakly decreasing positive integers, with
 trailing zeros stripped.  The LR expansion computed here is universal (no
 box restriction); callers working in a Grassmannian Chow ring filter the
 result against their box after lookup.  The expansion cache is shared
-process-wide and can be exported/imported for on-disk persistence.
+process-wide and lives in memory only; lr_cache_export/lr_cache_import
+snapshot and seed it.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def lr_expansion(lam, mu) -> dict[Partition, int]:
 
 
 def lr_cache_export() -> dict[tuple[Partition, Partition], dict[Partition, int]]:
-    """Snapshot of the process-wide LR cache (for persistence)."""
+    """Snapshot of the process-wide LR cache."""
     return {k: dict(v) for k, v in _LR_CACHE.items()}
 
 

@@ -3,25 +3,26 @@
 Classes are stored in the Schubert basis: a map from partitions fitting in
 the k x (n-k) box to arbitrary-precision integers.  Products are computed
 through the universal Littlewood-Richardson expansion, discarding partitions
-that leave the box.  On top of the ring the module provides the Chern
+that leave the box (pairs whose degrees add up past the box dimension are
+not expanded at all).  On top of the ring the module provides the Chern
 classes of the universal bundles, Chern classes of their m-fold (dualized)
-direct sums, the total Chern class of the tangent bundle via the splitting
-principle, the degree map, and the matrix of degrees of tangent-twisted
-products of those Chern classes that drives the characteristic-class
-formulas downstream.
+direct sums, the total Chern class of the tangent bundle from its power
+sums (Murnaghan-Nakayama rule and Newton's identities, no LR products),
+the degree map, and the matrix of degrees of tangent-twisted products of
+those Chern classes that drives the characteristic-class formulas
+downstream.
 
-Everything is a pure function of immutable values; the module-level caches
-(LR expansions, universal tensor polynomials) are deterministic and safe to
+Everything is a pure function of immutable values; the one module-level
+cache (LR expansions, in partitions) is deterministic and safe to
 repopulate idempotently from concurrent callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
-from .errors import BoxSizeError, ParameterError
+from .errors import BoxSizeError, ConsistencyError, ParameterError
 from .partitions import Partition, fits_in, lr_expansion, normalize
 
 # Desk-scale guardrail against accidental combinatorial blowup; override via
@@ -91,9 +92,6 @@ class ChowClass:
     def coefficient(self, lam) -> int:
         return self.terms.get(normalize(lam), 0)
 
-    def graded_piece(self, d: int) -> "ChowClass":
-        return ChowClass(self.box, {lam: c for lam, c in self.terms.items() if sum(lam) == d})
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ChowClass)
@@ -125,6 +123,8 @@ class ChowClass:
         rows, cols = self.box.rows, self.box.cols
         for lam, ca in self.terms.items():
             for mu, cb in other.terms.items():
+                if sum(lam) + sum(mu) > self.box.dim:
+                    continue  # every nu has |lam| + |mu| cells, so none fits
                 for nu, lr in lr_expansion(lam, mu).items():
                     if fits_in(nu, rows, cols):
                         out[nu] = out.get(nu, 0) + ca * cb * lr
@@ -208,132 +208,72 @@ def bundle_power_chern(chern: list[ChowClass], m: int, dualize: bool = False) ->
     return out
 
 
-# --- tangent bundle via the splitting principle ----------------------------
+# --- tangent bundle from power sums ----------------------------------------
 #
-# c(S* (x) Q) = prod_{i<=rows, j<=cols} (1 + x_i + y_j) with e_r(x) = c_r(S*)
-# and e_s(y) = c_s(Q).  The product over j for a fixed i collapses through
-# prod_j((1+x_i) + y_j) = sum_s e_s(y) (1+x_i)^(cols-s), so only the x side
-# needs the successive-division reduction to elementary generators.  The
-# reduced universal polynomial depends only on the box shape and is memoized.
+# With x the Chern roots of S* and y those of Q, T_G = S* (x) Q has roots
+# x_i + y_j, so its power sums are p_j(T) = sum_t C(j,t) p_t(x) p_(j-t)(y)
+# with p_0(x) = rows and p_0(y) = cols.  Since c(S)c(Q) = 1, p_r(y) equals
+# (-1)^(r-1) p_r(x), so every term is a product of power sums of x, which
+# act on the Schubert basis s_lam = s_lam(x) by the Murnaghan-Nakayama
+# rule.  Newton's identities then turn p(T) into c(T).
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for ka, va in p.items():
-        for kb, vb in q.items():
-            key = tuple(a + b for a, b in zip(ka, kb))
-            s = out.get(key, 0) + va * vb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+def _times_power_sum(box: Box, terms: dict[Partition, int], r: int) -> dict[Partition, int]:
+    """Product of sum c_lam s_lam with p_r(x), by the rim-hook rule on an
+    abacus of box.rows beads; shapes that leave the box are dropped."""
+    rows = box.rows
+    out: dict[Partition, int] = {}
+    for lam, c in terms.items():
+        beads = [(lam[i] if i < len(lam) else 0) + rows - 1 - i for i in range(rows)]
+        for i, b in enumerate(beads):
+            if b + r in beads:
+                continue
+            jumped = sum(1 for other in beads if b < other < b + r)
+            moved = sorted(beads[:i] + [b + r] + beads[i + 1:], reverse=True)
+            nu = normalize(p - (rows - 1 - j) for j, p in enumerate(moved))
+            if box.fits(nu):
+                out[nu] = out.get(nu, 0) + (-1) ** jumped * c
+    return {nu: c for nu, c in out.items() if c}
+
+
+def _times_tangent_power_sum(box: Box, terms: dict[Partition, int], j: int) -> dict[Partition, int]:
+    """Product of sum c_lam s_lam with p_j(T_G) = sum_t C(j,t) p_t(x) p_(j-t)(y)."""
+    out: dict[Partition, int] = {}
+    for t in range(j + 1):
+        piece, scale = terms, comb(j, t)
+        if t:
+            piece = _times_power_sum(box, piece, t)
+        else:
+            scale *= box.rows
+        if t < j:
+            piece = _times_power_sum(box, piece, j - t)
+            scale *= (-1) ** (j - t - 1)
+        else:
+            scale *= box.cols
+        for nu, c in piece.items():
+            out[nu] = out.get(nu, 0) + scale * c
     return out
-
-
-@lru_cache(maxsize=None)
-def _elementary_monomials(nvars: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent vectors of e_r in nvars variables (all r-subsets)."""
-    from itertools import combinations
-
-    out = []
-    for subset in combinations(range(nvars), r):
-        key = [0] * nvars
-        for s in subset:
-            key[s] = 1
-        out.append(tuple(key))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _e_product_expansion(nvars: int, epows: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Monomial expansion of prod_r e_r^epows[r-1] in nvars variables."""
-    poly = {(0,) * nvars: 1}
-    for r, power in enumerate(epows, start=1):
-        factor = {key: 1 for key in _elementary_monomials(nvars, r)}
-        for _ in range(power):
-            poly = _poly_mul(poly, factor)
-    return tuple(sorted(poly.items()))
-
-
-def symmetric_to_elementary(poly: dict[tuple[int, ...], int], nvars: int) -> dict[tuple[int, ...], int]:
-    """Rewrite a symmetric polynomial (monomial dict) in the elementary
-    symmetric generators by successive division on the lex-leading term.
-    Returns a map from e-exponent vectors (entry r-1 = power of e_r)."""
-    out: dict[tuple[int, ...], int] = {}
-    work = {k: v for k, v in poly.items() if v}
-    while work:
-        lead = max(work)
-        if any(lead[i] < lead[i + 1] for i in range(nvars - 1)):
-            raise ValueError("input polynomial is not symmetric")
-        c = work[lead]
-        epows = tuple(
-            lead[i] - (lead[i + 1] if i + 1 < nvars else 0) for i in range(nvars)
-        )
-        out[epows] = out.get(epows, 0) + c
-        for mono, ec in _e_product_expansion(nvars, epows):
-            s = work.get(mono, 0) - c * ec
-            if s:
-                work[mono] = s
-            else:
-                work.pop(mono, None)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _tensor_chern_universal(rows: int, cols: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-    """Universal expansion of prod (1 + x_i + y_j) as a polynomial in the
-    elementary symmetric functions of the two alphabets.
-
-    Returns triples (ex, ey, coeff): ex[r-1] is the power of e_r(x), ey[s-1]
-    the power of e_s(y).
-    """
-    # Expand over the x alphabet with coefficients tracking one e_s(y) factor
-    # per i; keys are (x exponents..., counts of e_1(y)..e_cols(y)).
-    width = rows + cols
-    poly: dict[tuple[int, ...], int] = {(0,) * width: 1}
-    for i in range(rows):
-        factor: dict[tuple[int, ...], int] = {}
-        for s in range(cols + 1):
-            for t in range(cols - s + 1):
-                key = [0] * width
-                key[i] = t
-                if s:
-                    key[rows + s - 1] = 1
-                key = tuple(key)
-                factor[key] = factor.get(key, 0) + comb(cols - s, t)
-        poly = _poly_mul(poly, factor)
-    # Group by the e(y) part and reduce the x part.
-    grouped: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for key, c in poly.items():
-        xpart, ypart = key[:rows], key[rows:]
-        grouped.setdefault(ypart, {})[xpart] = c
-    result = []
-    for ypart in sorted(grouped):
-        for ex, c in sorted(symmetric_to_elementary(grouped[ypart], rows).items()):
-            result.append((ex, ypart, c))
-    return tuple(result)
 
 
 def tangent_chern(box: Box) -> ChowClass:
-    """Total Chern class of the tangent bundle of G(k, n) (rank-k and
-    rank-(n-k) alphabets tensored), reduced into the Schubert basis."""
-    data = _tensor_chern_universal(box.rows, box.cols)
-    s_dual = chern_S_dual(box)
-    q = chern_Q(box)
-    total = zero(box)
-    for ex, ey, coeff in data:
-        cls = one(box) * coeff
-        for r, p in enumerate(ex, start=1):
-            for _ in range(p):
-                cls = cls * s_dual[r]
-        if cls.is_zero():
-            continue
-        for s, p in enumerate(ey, start=1):
-            for _ in range(p):
-                cls = cls * q[s]
-        if not cls.is_zero():
-            total = total + cls
-    return total
+    """Total Chern class of the tangent bundle of G(k, n), reduced into the
+    Schubert basis through Newton's identities
+    j c_j(T) = sum_i (-1)^(i-1) c_(j-i)(T) p_i(T)."""
+    chern: list[dict[Partition, int]] = [{(): 1}]
+    for j in range(1, box.dim + 1):
+        acc: dict[Partition, int] = {}
+        for i in range(1, j + 1):
+            for nu, c in _times_tangent_power_sum(box, chern[j - i], i).items():
+                acc[nu] = acc.get(nu, 0) + (-1) ** (i - 1) * c
+        piece: dict[Partition, int] = {}
+        for nu, c in acc.items():
+            q, rem = divmod(c, j)
+            if rem:
+                raise ConsistencyError(f"c_{j}(T) of box {box.rows}x{box.cols} is not integral at {nu}")
+            if q:
+                piece[nu] = q
+        chern.append(piece)
+    return ChowClass(box, {nu: c for piece in chern for nu, c in piece.items()})
 
 
 def a_matrix(m: int, n: int, k: int) -> list[list[int]]:

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from detchern import cli
 from detchern.cli import (
+    CACHE_VERSION,
     OutputDocument,
+    ScanReport,
     compute_document,
     default_fixtures,
     reproduce_reference_tables,
@@ -128,6 +131,17 @@ def test_scan_subcommand(capsys):
     assert payload["vanishing_violations"] == []
 
 
+def test_scan_violation_exit_code(capsys, monkeypatch):
+    report = ScanReport(3, 3, instances_checked=4, vanishing_violations=[(3, 3, 1, 0, 1)])
+    monkeypatch.setattr(cli, "scan_conjectures", lambda m_max, n_max: report)
+    code, out, _ = invoke(capsys, "scan", "-m", "3", "-n", "3")
+    assert code == 3
+    assert json.loads(out)["ok"] is False
+    code, out, _ = invoke(capsys, "scan", "-m", "3", "-n", "3", "--format", "csv")
+    assert code == 3
+    assert "vanishing_violations,1" in out
+
+
 def test_scan_instance_enumeration():
     report = scan_conjectures(3, 3)
     # (2,2,1), (3,2,1), (3,3,1), (3,3,2)
@@ -182,7 +196,48 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("DETCHERN_CACHE_DIR", cache)
     code, _, _ = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "2")
     assert code == 0
-    assert (tmp_path / "envcache" / "lr.json").exists()
+    # only Chern-Mather classes persist, and no temp file is left behind
+    assert sorted(p.name for p in (tmp_path / "envcache").iterdir()) == ["cm.json"]
+
+
+def test_cache_stale_lr_file_ignored(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "lr.json").write_text("{not json")
+    code, out, err = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(cache))
+    assert code == 0
+    assert "warning" not in err
+    assert OutputDocument.from_json(out).coefficients[0] == "18"
+    assert (cache / "lr.json").read_text() == "{not json"
+
+
+def test_cache_unwritable_dir_warns(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(blocker / "sub"))
+    assert code == 0
+    assert "warning: could not save cache" in err
+    assert "Traceback" not in err
+    assert OutputDocument.from_json(out).coefficients[0] == "18"
+
+
+@pytest.mark.parametrize("entry", [
+    {"3,3,1": ["1"]},  # wrong coefficient count
+    {"3,3,1": "123456789"},  # not a list
+    {"3,3,9": ["0"] * 9},  # k out of range
+    {"3,4,1": ["0"] * 12},  # n > m
+])
+def test_cache_invalid_entry_rejected(capsys, tmp_path, entry):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "cm.json").write_text(json.dumps({"version": CACHE_VERSION, "cm": entry}))
+    code, out, err = invoke(capsys, "csm", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(cache))
+    assert code == 0
+    assert "warning: ignoring corrupt cache" in err
+    assert OutputDocument.from_json(out).coefficients[0] == "9"
+    rebuilt = json.loads((cache / "cm.json").read_text())["cm"]
+    assert rebuilt["3,3,1"][0] == "18" and len(rebuilt["3,3,1"]) == 9
+    assert rebuilt.keys() & entry.keys() <= {"3,3,1"}
 
 
 def test_cache_corrupt_file_recovers(capsys, tmp_path):
@@ -192,6 +247,16 @@ def test_cache_corrupt_file_recovers(capsys, tmp_path):
     code, out, err = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(cache))
     assert code == 0
     assert "warning" in err
+    assert OutputDocument.from_json(out).coefficients[0] == "18"
+
+
+def test_cache_non_object_file_recovers(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "cm.json").write_text("[]")
+    code, out, err = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(cache))
+    assert code == 0
+    assert "warning: ignoring corrupt cache" in err
     assert OutputDocument.from_json(out).coefficients[0] == "18"
 
 

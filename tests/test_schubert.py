@@ -18,6 +18,7 @@ from detchern.schubert import (
     tangent_chern,
     zero,
 )
+from detchern.schubert import _times_power_sum
 
 from oracles import schur_product_in_box
 
@@ -167,7 +168,33 @@ def test_tangent_chern_euler_characteristic_g24():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_tangent_chern_projective_space(n):
-    assert integrate(tangent_chern(boxed(1, n - 1))) == n
+    # c(T_P^(n-1)) = (1 + H)^n, where H^j is s(j) on the box (1, n-1) and
+    # s(1^j) on the box (n-1, 1)
+    row, column = boxed(1, n - 1), boxed(n - 1, 1)
+    assert tangent_chern(row) == ChowClass(row, {(j,): binom(n, j) for j in range(n)})
+    assert tangent_chern(column) == ChowClass(column, {(1,) * j: binom(n, j) for j in range(n)})
+
+
+@pytest.mark.parametrize("rows,cols", [(r, c) for r in range(1, 5) for c in range(1, 5)])
+def test_tangent_chern_first_chern_class(rows, cols):
+    box = boxed(rows, cols)
+    degree_one = {lam: c for lam, c in tangent_chern(box).terms.items() if sum(lam) == 1}
+    assert degree_one == {(1,): rows + cols}
+
+
+@given(box_and_partitions(count=1), st.integers(1, 10))
+@settings(max_examples=60, deadline=None)
+def test_power_sum_rim_hook_rule_matches_lr(data, r):
+    # p_r = sum_a (-1)^a s_(r-a, 1^a), the hooks of size r
+    box, (lam,) = data
+    want: dict = {}
+    for a in range(r):
+        hook = (r - a,) + (1,) * a
+        for nu, c in lr_expansion(lam, hook).items():
+            if box.fits(nu):
+                want[nu] = want.get(nu, 0) + (-1) ** a * c
+    want = {nu: c for nu, c in want.items() if c}
+    assert _times_power_sum(box, {lam: 1}, r) == want
 
 
 @pytest.mark.parametrize("n", range(2, 9))
