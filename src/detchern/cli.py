@@ -1,11 +1,14 @@
 """Command-line surface.
 
-Subcommands compute any of the classes, cycles and degrees, render them as
-JSON, CSV or markdown, reproduce the bundled reference tables, scan the
-effectivity/vanishing conjectures, and persist computed Chern-Mather
-classes across runs.
+One table, `KINDS`, maps each document kind to its basis label and the
+function that computes it; it drives the subcommands, the documents
+(rendered as JSON, CSV or markdown) and the replay of the bundled reference
+tables.  Three reports, `symmetry`, `scan` and `tables`, check the flip
+symmetries, the effectivity/vanishing conjectures and the reference tables.
+Computed Chern-Mather classes persist across runs in `cm.json`.
 
-Exit codes: 0 success, 2 parameter errors, 3 internal consistency failure.
+Exit codes: 0 success, 2 parameter errors, 3 internal consistency failure
+(including a report whose check fails).
 Integers are always rendered as decimal strings; repeated invocations with
 identical flags produce byte-identical stdout (timing goes to stderr).
 """
@@ -17,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import tables
 from .classes import (
@@ -67,31 +70,11 @@ class OutputDocument:
     version: str = DOC_VERSION
 
     def to_json(self) -> str:
-        payload = {
-            "version": self.version,
-            "kind": self.kind,
-            "m": self.m,
-            "n": self.n,
-            "k": self.k,
-            "basis": self.basis,
-            "coefficients": self.coefficients,
-            "meta": self.meta,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, blob: str) -> "OutputDocument":
-        data = json.loads(blob)
-        return cls(
-            kind=data["kind"],
-            m=data["m"],
-            n=data["n"],
-            k=data["k"],
-            basis=data["basis"],
-            coefficients=data["coefficients"],
-            meta=data["meta"],
-            version=data["version"],
-        )
+        return cls(**json.loads(blob))
 
     def to_csv(self) -> str:
         if isinstance(self.coefficients, list) and self.coefficients and isinstance(self.coefficients[0], list):
@@ -179,70 +162,41 @@ class TableReport:
 
 def default_fixtures() -> list[tuple[str, tuple, object]]:
     fixtures: list[tuple[str, tuple, object]] = []
-    for name, table in (
-        ("cm", tables.CM),
-        ("csm", tables.CSM),
-        ("csm_open", tables.CSM_OPEN),
-        ("conormal", tables.CON),
-        ("charcycle", tables.CH),
-        ("charcycle_open", tables.CH_OPEN),
-        ("amatrix", tables.A_MATRICES),
-    ):
-        for key in sorted(table):
-            fixtures.append((name, key, table[key]))
-    for n in sorted(tables.FULTON):
-        fixtures.append(("fulton", (n,), tables.FULTON[n]))
-    for n in sorted(tables.MILNOR):
-        fixtures.append(("milnor", (n,), tables.MILNOR[n]))
-    for m, n, k, value in tables.GED:
-        fixtures.append(("ged", (m, n, k), value))
+    for kind, table in {
+        "cm": tables.CM,
+        "csm": tables.CSM,
+        "csm_open": tables.CSM_OPEN,
+        "conormal": tables.CON,
+        "charcycle": tables.CH,
+        "charcycle_open": tables.CH_OPEN,
+        "amatrix": tables.A_MATRICES,
+        "fulton": tables.FULTON,
+        "milnor": tables.MILNOR,
+        "ged": tables.GED,
+    }.items():
+        if isinstance(table, dict):
+            for key in sorted(table):
+                fixtures.append((kind, key if isinstance(key, tuple) else (key,), table[key]))
+        else:  # GED rows (m, n, k, value), replayed in order: one row repeats
+            fixtures.extend((kind, (m, n, k), value) for m, n, k, value in table)
     return fixtures
-
-
-def _fresh_value(kind: str, key: tuple):
-    if kind == "cm":
-        return cm_class(*key).coeffs
-    if kind == "csm":
-        return csm_class(*key).coeffs
-    if kind == "csm_open":
-        return csm_open(*key).coeffs
-    if kind == "conormal":
-        return conormal(*key).dense()
-    if kind == "charcycle":
-        return charcycle(*key).dense()
-    if kind == "charcycle_open":
-        return charcycle_open(*key).dense()
-    if kind == "amatrix":
-        return tuple(tuple(row) for row in a_matrix(*key))
-    if kind == "fulton":
-        return chern_fulton_hypersurface(key[0]).coeffs
-    if kind == "milnor":
-        return milnor_class(key[0]).coeffs
-    if kind == "ged":
-        return ged(*key)
-    raise ValueError(f"unknown fixture kind {kind}")
 
 
 def reproduce_reference_tables(fixtures=None) -> TableReport:
     """Recompute every bundled reference value and compare cell by cell."""
     report = TableReport()
     for kind, key, expected in (default_fixtures() if fixtures is None else fixtures):
-        actual = _fresh_value(kind, key)
+        m, n, k = key if len(key) == 3 else (key[0], key[0], 1)  # fulton, milnor: (n,)
+        actual = KINDS[kind][1](m, n, k)
         if isinstance(expected, (int, str)):
-            report.cells_checked += 1
-            if int(expected) != actual:
-                report.mismatches.append((kind, key, 0, str(expected), str(actual)))
+            cells = [(0, int(expected), actual)]
         elif expected and isinstance(expected[0], tuple):
-            for i, (erow, arow) in enumerate(zip(expected, actual)):
-                for j, (e, a) in enumerate(zip(erow, arow)):
-                    report.cells_checked += 1
-                    if e != a:
-                        report.mismatches.append((kind, key, (i, j), str(e), str(a)))
+            cells = [((i, j), e, a) for i, (erow, arow) in enumerate(zip(expected, actual))
+                     for j, (e, a) in enumerate(zip(erow, arow))]
         else:
-            for i, (e, a) in enumerate(zip(expected, actual)):
-                report.cells_checked += 1
-                if e != a:
-                    report.mismatches.append((kind, key, i, str(e), str(a)))
+            cells = [(i, e, a) for i, (e, a) in enumerate(zip(expected, actual))]
+        report.cells_checked += len(cells)
+        report.mismatches += [(kind, key, idx, str(e), str(a)) for idx, e, a in cells if e != a]
     return report
 
 
@@ -266,7 +220,12 @@ def load_caches(cache_dir: str) -> None:
             m, n, k = (int(x) for x in key.split(","))
             if not (0 <= k <= n - 1 <= m - 1) or not isinstance(coeffs, list) or len(coeffs) != m * n:
                 raise ValueError(f"entry {key!r} does not describe a class of tau(m, n, k)")
-            entries[(m, n, k)] = tuple(int(c) for c in coeffs)
+            values = tuple(int(c) for c in coeffs)
+            # a class of a d-dimensional variety ends at [P^d] with a positive degree
+            d = variety_dim(m, n, k)
+            if values[d] <= 0 or any(values[d + 1:]):
+                raise ValueError(f"entry {key!r} is not the class of a {d}-dimensional variety")
+            entries[(m, n, k)] = values
         cm_cache_import(entries)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"warning: ignoring corrupt cache {path}: {exc}", file=sys.stderr)
@@ -296,15 +255,40 @@ def save_caches(cache_dir: str) -> None:
 
 
 # --- command dispatch -------------------------------------------------------
+#
+# KINDS maps each document kind to (basis, value): `basis` is formatted with
+# k; value(m, n, k) returns the raw value in the shape `detchern.tables`
+# stores it, looking the layer functions up in this module's globals at call
+# time, so a wrapper installed there sees every call.
 
 
-def _doc(kind, m, n, k, basis, values, **meta) -> OutputDocument:
-    meta = {"tool": TOOL_VERSION, "params": {"m": m, "n": n, "k": k}, **meta}
-    return OutputDocument(kind, m, n, k, basis, values, meta)
+def _checked_dual_cm(m: int, n: int, k: int) -> tuple[int, ...]:
+    dual = dual_cm(cm_class(m, n, k), variety_dim(m, n, k))
+    if dual != cm_class(m, n, n - k):
+        raise ConsistencyError(
+            f"involution image differs from the dual variety class at ({m},{n},{k})"
+        )
+    return dual.coeffs
 
 
-def _strs(values) -> list[str]:
-    return [str(v) for v in values]
+KINDS = {
+    "cm": ("projective", lambda m, n, k: cm_class(m, n, k).coeffs),
+    "csm": ("projective", lambda m, n, k: csm_class(m, n, k).coeffs),
+    "csm_open": ("projective", lambda m, n, k: csm_open(m, n, k).coeffs),
+    "eu": ("strata:{k}", lambda m, n, k: euler_obstruction(m, n, k).values),
+    "fulton": ("projective", lambda m, n, k: chern_fulton_hypersurface(n).coeffs),
+    "milnor": ("projective", lambda m, n, k: milnor_class(n).coeffs),
+    "conormal": ("biprojective", lambda m, n, k: conormal(m, n, k).dense()),
+    "charcycle": ("biprojective", lambda m, n, k: charcycle(m, n, k).dense()),
+    "charcycle_open": ("biprojective", lambda m, n, k: charcycle_open(m, n, k).dense()),
+    "polar": ("polar", lambda m, n, k: polar_degrees(m, n, k)),
+    "ged": ("scalar", lambda m, n, k: ged(m, n, k)),
+    "microlocal": (
+        "strata:0", lambda m, n, k: solve_multiplicities(determinantal_system(m, n, k)).values
+    ),
+    "amatrix": ("matrix", lambda m, n, k: a_matrix(m, n, k)),
+    "dual_check": ("projective", lambda m, n, k: _checked_dual_cm(m, n, k)),
+}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -332,58 +316,25 @@ def _run_checks(kind: str, m: int, n: int, k: int) -> None:
 
 
 def compute_document(kind: str, m, n, k, check: bool = False) -> OutputDocument:
-    needs_mnk = kind in {
-        "cm", "csm", "csm_open", "eu", "conormal", "charcycle",
-        "charcycle_open", "polar", "ged", "microlocal", "amatrix", "dual_check",
-    }
-    if needs_mnk:
-        _require(m is not None and n is not None and k is not None,
-                 f"{kind} requires -m, -n and -k")
+    if kind not in KINDS:
+        raise ParameterError(f"unknown kind {kind}")
     if kind in {"fulton", "milnor"}:
         _require(n is not None, f"{kind} requires -n")
         _require(m is None or m == n, f"{kind} is defined for square matrices")
         m, k = n, 1
-
-    if kind == "cm":
-        values = cm_class(m, n, k).coeffs
-        doc = _doc(kind, m, n, k, "projective", _strs(values))
-    elif kind == "csm":
-        doc = _doc(kind, m, n, k, "projective", _strs(csm_class(m, n, k).coeffs))
-    elif kind == "csm_open":
-        doc = _doc(kind, m, n, k, "projective", _strs(csm_open(m, n, k).coeffs))
-    elif kind == "eu":
-        vec = euler_obstruction(m, n, k)
-        doc = _doc(kind, m, n, k, f"strata:{vec.lo}", _strs(vec.values))
-    elif kind == "fulton":
-        doc = _doc(kind, m, n, k, "projective", _strs(chern_fulton_hypersurface(n).coeffs))
-    elif kind == "milnor":
-        doc = _doc(kind, m, n, k, "projective", _strs(milnor_class(n).coeffs))
-    elif kind == "conormal":
-        doc = _doc(kind, m, n, k, "biprojective", _strs(conormal(m, n, k).dense()))
-    elif kind == "charcycle":
-        doc = _doc(kind, m, n, k, "biprojective", _strs(charcycle(m, n, k).dense()))
-    elif kind == "charcycle_open":
-        doc = _doc(kind, m, n, k, "biprojective", _strs(charcycle_open(m, n, k).dense()))
-    elif kind == "polar":
-        doc = _doc(kind, m, n, k, "polar", _strs(polar_degrees(m, n, k)))
-    elif kind == "ged":
-        doc = _doc(kind, m, n, k, "scalar", [str(ged(m, n, k))])
-    elif kind == "microlocal":
-        vec = solve_multiplicities(determinantal_system(m, n, k))
-        doc = _doc(kind, m, n, k, "strata:0", _strs(vec.values))
-    elif kind == "amatrix":
-        rows = [[str(v) for v in row] for row in a_matrix(m, n, k)]
-        doc = _doc(kind, m, n, k, "matrix", rows)
-    elif kind == "dual_check":
-        dual = dual_cm(cm_class(m, n, k), variety_dim(m, n, k))
-        if dual != cm_class(m, n, n - k):
-            raise ConsistencyError(
-                f"involution image differs from the dual variety class at ({m},{n},{k})"
-            )
-        doc = _doc(kind, m, n, k, "projective", _strs(dual.coeffs), dual_of=f"({m},{n},{n - k})")
     else:
-        raise ParameterError(f"unknown kind {kind}")
-
+        _require(m is not None and n is not None and k is not None,
+                 f"{kind} requires -m, -n and -k")
+    basis, value = KINDS[kind]
+    raw = value(m, n, k)
+    if basis == "matrix":
+        coefficients = [[str(v) for v in row] for row in raw]
+    else:
+        coefficients = [str(v) for v in ([raw] if basis == "scalar" else raw)]
+    meta = {"tool": TOOL_VERSION, "params": {"m": m, "n": n, "k": k}}
+    if kind == "dual_check":
+        meta["dual_of"] = f"({m},{n},{n - k})"
+    doc = OutputDocument(kind, m, n, k, basis.format(k=k), coefficients, meta)
     if check:
         _run_checks(kind, m, n, k)
     return doc
@@ -395,12 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact characteristic classes and cycles of determinantal varieties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    kinds = [
-        "cm", "csm", "csm_open", "eu", "fulton", "milnor", "conormal",
-        "charcycle", "charcycle_open", "polar", "ged", "microlocal",
-        "amatrix", "dual_check", "symmetry", "scan", "tables",
-    ]
-    for kind in kinds:
+    for kind in [*KINDS, "symmetry", "scan", "tables"]:
         p = sub.add_parser(kind)
         p.add_argument("-m", type=int, default=None)
         p.add_argument("-n", type=int, default=None)
@@ -412,16 +358,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(doc: OutputDocument, fmt: str) -> str:
-    if fmt == "json":
-        return doc.to_json()
-    if fmt == "csv":
-        return doc.to_csv()
-    return doc.to_markdown()
-
-
-def _report_lines(pairs) -> list[str]:
-    return [f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in pairs]
+def _report(command: str, m, n) -> tuple[dict, list[str], bool]:
+    """Run the symmetry, scan or tables report; return the fields of its
+    JSON document, the lines of its text form and its verdict."""
+    if command == "tables":
+        report = reproduce_reference_tables()
+        lines = [f"cells_checked,{report.cells_checked}", f"mismatches,{len(report.mismatches)}"]
+        lines += [
+            f"FAIL {kind}{key} at {idx}: expected {expected}, got {actual}"
+            for kind, key, idx, expected, actual in report.mismatches
+        ]
+        fields = {"cells_checked": report.cells_checked, "mismatches": report.mismatches}
+        return fields, lines, report.ok
+    fields = {"m": m, "n": n, "k": None}
+    if command == "symmetry":
+        _require(m is not None and n is not None, "symmetry requires -m and -n")
+        report = symmetry_check(m, n)
+        lines = [f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in report.checks]
+        return {**fields, "checks": report.checks}, lines, report.ok
+    _require(m is not None and n is not None, "scan requires -m and -n maxima")
+    report = scan_conjectures(m, n)
+    fields.update(
+        instances_checked=report.instances_checked,
+        effectivity_violations=report.effectivity_violations,
+        vanishing_violations=report.vanishing_violations,
+    )
+    lines = [
+        f"instances_checked,{report.instances_checked}",
+        f"effectivity_violations,{len(report.effectivity_violations)}",
+        f"vanishing_violations,{len(report.vanishing_violations)}",
+    ]
+    return fields, lines, report.ok
 
 
 def run(argv) -> int:
@@ -440,65 +407,18 @@ def run(argv) -> int:
     try:
         if cache_dir:
             load_caches(cache_dir)
-        if args.command == "symmetry":
-            _require(args.m is not None and args.n is not None, "symmetry requires -m and -n")
-            report = symmetry_check(args.m, args.n)
-            if args.format == "json":
-                payload = {
-                    "version": DOC_VERSION,
-                    "kind": "symmetry",
-                    "m": args.m,
-                    "n": args.n,
-                    "k": None,
-                    "checks": [[name, ok] for name, ok in report.checks],
-                    "ok": report.ok,
-                }
-                print(json.dumps(payload, sort_keys=True))
-            else:
-                print("\n".join(_report_lines(report.checks)))
-        elif args.command == "scan":
-            _require(args.m is not None and args.n is not None, "scan requires -m and -n maxima")
-            report = scan_conjectures(args.m, args.n)
-            if args.format == "json":
-                payload = {
-                    "version": DOC_VERSION,
-                    "kind": "scan",
-                    "m": args.m,
-                    "n": args.n,
-                    "k": None,
-                    "instances_checked": report.instances_checked,
-                    "effectivity_violations": report.effectivity_violations,
-                    "vanishing_violations": report.vanishing_violations,
-                    "ok": report.ok,
-                }
-                print(json.dumps(payload, sort_keys=True))
-            else:
-                print(f"instances_checked,{report.instances_checked}")
-                print(f"effectivity_violations,{len(report.effectivity_violations)}")
-                print(f"vanishing_violations,{len(report.vanishing_violations)}")
-            if not report.ok:
-                return 3
-        elif args.command == "tables":
-            report = reproduce_reference_tables()
-            if args.format == "json":
-                payload = {
-                    "version": DOC_VERSION,
-                    "kind": "tables",
-                    "cells_checked": report.cells_checked,
-                    "mismatches": report.mismatches,
-                    "ok": report.ok,
-                }
-                print(json.dumps(payload, sort_keys=True))
-            else:
-                print(f"cells_checked,{report.cells_checked}")
-                print(f"mismatches,{len(report.mismatches)}")
-                for kind, key, idx, expected, actual in report.mismatches:
-                    print(f"FAIL {kind}{key} at {idx}: expected {expected}, got {actual}")
-            if not report.ok:
-                return 3
-        else:
+        if args.command in KINDS:
             doc = compute_document(args.command, args.m, args.n, args.k, check=args.check)
-            print(_render(doc, args.format))
+            print(getattr(doc, f"to_{args.format}")())
+        else:
+            fields, lines, ok = _report(args.command, args.m, args.n)
+            if args.format == "json":
+                payload = {"version": DOC_VERSION, "kind": args.command, **fields, "ok": ok}
+                print(json.dumps(payload, sort_keys=True))
+            else:
+                print("\n".join(lines))
+            if not ok:
+                return 3
         if cache_dir:
             try:
                 save_caches(cache_dir)

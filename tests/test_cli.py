@@ -14,6 +14,7 @@ from detchern.cli import (
     scan_conjectures,
 )
 from detchern.errors import ParameterError
+from detchern.lagrangian import SymmetryReport
 
 
 def invoke(capsys, *argv):
@@ -122,6 +123,17 @@ def test_symmetry_report(capsys):
     assert len(payload["checks"]) == 4  # parity check + flip identity per k
 
 
+def test_symmetry_failure_exit_code(capsys, monkeypatch):
+    report = SymmetryReport(4, 4, checks=[("parity", True), ("binomial flip identity at k=1", False)])
+    monkeypatch.setattr(cli, "symmetry_check", lambda m, n: report)
+    code, out, _ = invoke(capsys, "symmetry", "-m", "4", "-n", "4")
+    assert code == 3
+    assert json.loads(out)["ok"] is False
+    code, out, _ = invoke(capsys, "symmetry", "-m", "4", "-n", "4", "--format", "csv")
+    assert code == 3
+    assert out.splitlines() == ["PASS parity", "FAIL binomial flip identity at k=1"]
+
+
 def test_scan_subcommand(capsys):
     code, out, _ = invoke(capsys, "scan", "-m", "4", "-n", "4")
     assert code == 0
@@ -226,6 +238,7 @@ def test_cache_unwritable_dir_warns(capsys, tmp_path):
     {"3,3,1": "123456789"},  # not a list
     {"3,3,9": ["0"] * 9},  # k out of range
     {"3,4,1": ["0"] * 12},  # n > m
+    {"3,3,1": ["1"] * 9},  # well-formed, but nonzero above [P^7] = [P^dim]
 ])
 def test_cache_invalid_entry_rejected(capsys, tmp_path, entry):
     cache = tmp_path / "cache"
