@@ -206,15 +206,17 @@ def reproduce_reference_tables(fixtures=None) -> TableReport:
 # from them or recomputed faster than a larger file loads.
 
 
-def load_caches(cache_dir: str) -> None:
+def load_caches(cache_dir: str) -> dict | None:
+    """Seed the Chern-Mather cache from cm.json; returns the entries when the
+    file loaded cleanly, None when it is missing, stale or corrupt."""
     path = os.path.join(cache_dir, "cm.json")
     if not os.path.exists(path):
-        return
+        return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if data.get("version") != CACHE_VERSION:
-            return  # stale format: rebuild silently
+            return None  # stale format: rebuild silently
         entries = {}
         for key, coeffs in data["cm"].items():
             m, n, k = (int(x) for x in key.split(","))
@@ -227,8 +229,10 @@ def load_caches(cache_dir: str) -> None:
                 raise ValueError(f"entry {key!r} is not the class of a {d}-dimensional variety")
             entries[(m, n, k)] = values
         cm_cache_import(entries)
+        return entries
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"warning: ignoring corrupt cache {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def save_caches(cache_dir: str) -> None:
@@ -405,8 +409,7 @@ def run(argv) -> int:
         old_limit = set_box_cell_limit(args.max_box)
     started = time.monotonic()
     try:
-        if cache_dir:
-            load_caches(cache_dir)
+        loaded = load_caches(cache_dir) if cache_dir else None
         if args.command in KINDS:
             doc = compute_document(args.command, args.m, args.n, args.k, check=args.check)
             print(getattr(doc, f"to_{args.format}")())
@@ -419,7 +422,8 @@ def run(argv) -> int:
                 print("\n".join(lines))
             if not ok:
                 return 3
-        if cache_dir:
+        # a file that loaded cleanly and already holds every entry stays as it is
+        if cache_dir and cm_cache_export() != loaded:
             try:
                 save_caches(cache_dir)
             except OSError as exc:

@@ -3,7 +3,9 @@
 Partitions are plain tuples of weakly decreasing positive integers, with
 trailing zeros stripped.  The LR expansion computed here is universal (no
 box restriction); callers working in a Grassmannian Chow ring filter the
-result against their box after lookup.  The expansion cache is shared
+result against their box after lookup.  A single row or column factor is
+expanded by the Pieri rule (adding a horizontal or vertical strip); any
+other pair by counting LR tableaux.  The expansion cache is shared
 process-wide and lives in memory only; lr_cache_export/lr_cache_import
 snapshot and seed it.
 """
@@ -102,6 +104,27 @@ def _candidate_shapes(lam: Partition, mu: Partition) -> list[Partition]:
     return out
 
 
+def _horizontal_strips(lam: Partition, r: int) -> list[Partition]:
+    """Partitions nu containing lam such that nu/lam is a horizontal strip of
+    r cells: row i grows by at most lam[i-1] - lam[i], the first row freely."""
+    padded = lam + (0,)
+    out: list[Partition] = []
+
+    def build(row: int, remaining: int, acc: list[int]) -> None:
+        if row == len(padded):
+            if remaining == 0:
+                out.append(tuple(acc) if acc[-1] else tuple(acc[:-1]))
+            return
+        room = remaining if row == 0 else min(remaining, padded[row - 1] - padded[row])
+        for add in range(room + 1):
+            acc.append(padded[row] + add)
+            build(row + 1, remaining - add, acc)
+            acc.pop()
+
+    build(0, r, [])
+    return out
+
+
 def _count_lr_tableaux(nu: Partition, lam: Partition, mu: Partition) -> int:
     """Number of column-strict fillings of nu/lam with content mu whose
     reverse reading word (rows top to bottom, each right to left) is a
@@ -144,6 +167,10 @@ def _count_lr_tableaux(nu: Partition, lam: Partition, mu: Partition) -> int:
 def lr_expansion(lam, mu) -> dict[Partition, int]:
     """Expansion of the product of Schur functions s_lam * s_mu in the Schur
     basis: a map nu -> c^nu_{lam,mu} over the nonzero LR coefficients."""
+    if type(lam) is tuple and type(mu) is tuple:
+        hit = _LR_CACHE.get((lam, mu))
+        if hit is not None:
+            return hit
     lam = normalize(lam)
     mu = normalize(mu)
     key = (lam, mu)
@@ -154,6 +181,10 @@ def lr_expansion(lam, mu) -> dict[Partition, int]:
         result = {lam: 1}
     elif not lam:
         result = {mu: 1}
+    elif len(mu) == 1:  # Pieri: s_lam s_(r) adds a horizontal strip
+        result = dict.fromkeys(_horizontal_strips(lam, mu[0]), 1)
+    elif mu[0] == 1:  # and s_lam s_(1^c) a vertical one
+        result = dict.fromkeys((conjugate(nu) for nu in _horizontal_strips(conjugate(lam), len(mu))), 1)
     else:
         result = {}
         for nu in _candidate_shapes(lam, mu):

@@ -1,16 +1,19 @@
 """Exact Chow-ring arithmetic for the Grassmannian G(k, n).
 
 Classes are stored in the Schubert basis: a map from partitions fitting in
-the k x (n-k) box to arbitrary-precision integers.  Products are computed
-through the universal Littlewood-Richardson expansion, discarding partitions
-that leave the box (pairs whose degrees add up past the box dimension are
-not expanded at all).  On top of the ring the module provides the Chern
-classes of the universal bundles, Chern classes of their m-fold (dualized)
-direct sums, the total Chern class of the tangent bundle from its power
-sums (Murnaghan-Nakayama rule and Newton's identities, no LR products),
-the degree map, and the matrix of degrees of tangent-twisted products of
-those Chern classes that drives the characteristic-class formulas
-downstream.
+the k x (n-k) box to arbitrary-precision integers.  A product looks up the
+universal Littlewood-Richardson expansion of each pair of terms and keeps
+the partitions that fit the box (pairs whose degrees add up past the box
+dimension are not expanded at all); a factor that is a single row or column
+class is expanded by the Pieri rule.  On top of the ring the module provides
+the Chern classes of the universal bundles, Chern classes of their m-fold
+(dualized) direct sums, the total Chern class of the tangent bundle from its
+power sums (Murnaghan-Nakayama rule and Newton's identities, no LR
+products), the degree map, the Poincare-duality pairing, and the matrix of
+degrees of tangent-twisted products of those Chern classes that drives the
+characteristic-class formulas downstream.  That matrix needs no general LR
+product: its rows are Pieri products with special classes, and its entries
+are pairings.
 
 Everything is a pure function of immutable values; the one module-level
 cache (LR expansions, in partitions) is deterministic and safe to
@@ -86,6 +89,15 @@ class ChowClass:
                 clean[lam] = clean.get(lam, 0) + c
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, box: Box, terms: dict[Partition, int]) -> "ChowClass":
+        """Build from keys that are already normalized and fit the box,
+        skipping the checks of __init__; zero coefficients are dropped."""
+        obj = cls.__new__(cls)
+        obj.box = box
+        obj.terms = {lam: c for lam, c in terms.items() if c}
+        return obj
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -107,17 +119,17 @@ class ChowClass:
         out = dict(self.terms)
         for lam, c in other.terms.items():
             out[lam] = out.get(lam, 0) + c
-        return ChowClass(self.box, out)
+        return ChowClass._trusted(self.box, out)
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass(self.box, {lam: -c for lam, c in self.terms.items()})
+        return ChowClass._trusted(self.box, {lam: -c for lam, c in self.terms.items()})
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return ChowClass(self.box, {lam: c * other for lam, c in self.terms.items()})
+            return ChowClass._trusted(self.box, {lam: c * other for lam, c in self.terms.items()})
         self._check_box(other)
         out: dict[Partition, int] = {}
         rows, cols = self.box.rows, self.box.cols
@@ -128,7 +140,7 @@ class ChowClass:
                 for nu, lr in lr_expansion(lam, mu).items():
                     if fits_in(nu, rows, cols):
                         out[nu] = out.get(nu, 0) + ca * cb * lr
-        return ChowClass(self.box, out)
+        return ChowClass._trusted(self.box, out)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -171,6 +183,22 @@ def integrate(x: ChowClass) -> int:
     return x.terms.get(x.box.full, 0)
 
 
+def pairing(x: ChowClass, y: ChowClass) -> int:
+    """integrate(x * y) by Poincare duality: s_lam * s_mu has degree 1 when
+    mu is the complement of lam in the box, rotated by 180 degrees, and 0
+    otherwise."""
+    x._check_box(y)
+    if len(x.terms) > len(y.terms):
+        x, y = y, x  # look up the complements of the sparser class
+    rows, cols = x.box.rows, x.box.cols
+    total = 0
+    for lam, c in x.terms.items():
+        padded = lam + (0,) * (rows - len(lam))
+        dual = tuple(cols - p for p in reversed(padded) if p < cols)  # zero parts dropped
+        total += c * y.terms.get(dual, 0)
+    return total
+
+
 def chern_Q(box: Box) -> list[ChowClass]:
     """Chern classes of the universal quotient bundle: c_i(Q) = s_(i)."""
     return [one(box)] + [schubert_class(box, (i,)) for i in range(1, box.cols + 1)]
@@ -189,12 +217,20 @@ def bundle_power_chern(chern: list[ChowClass], m: int, dualize: bool = False) ->
         raise ParameterError(f"multiplicity must be positive, got {m}")
     if not chern or chern[0] != one(chern[0].box):
         raise ValueError("total Chern class sequence must start with 1")
-    box = chern[0].box
+    return _chern_power_rounds(one(chern[0].box), chern, m, dualize)
+
+
+def _chern_power_rounds(start: ChowClass, chern: list[ChowClass], m: int, dualize: bool) -> list[ChowClass]:
+    """[start * c_d(E^m) for d = 0..box.dim], where E^m is the m-fold direct
+    sum of the bundle E with total Chern class `chern` (dualized if asked):
+    m rounds, each multiplying by c(E).  When `chern` is c(Q) or c(S*), every factor is a signed
+    special class s_(e) or s_(1^e), so each product is a Pieri product."""
+    box = start.box
     top = box.dim
     base = [zero(box) for _ in range(top + 1)]
     for i, piece in enumerate(chern[: top + 1]):
         base[i] = -piece if (dualize and i % 2 == 1) else piece
-    out = [one(box)] + [zero(box) for _ in range(top)]
+    out = [start] + [zero(box) for _ in range(top)]
     for _ in range(m):
         nxt = [zero(box) for _ in range(top + 1)]
         for d in range(top + 1):
@@ -287,16 +323,15 @@ def a_matrix(m: int, n: int, k: int) -> list[list[int]]:
         raise ParameterError(f"need 1 <= k <= n-1 <= m-1, got m={m} n={n} k={k}")
     box = Box(k, n - k)
     size = m * (n - k) + 1
-    tangent = tangent_chern(box)
-    cq = bundle_power_chern(chern_Q(box), m, dualize=True)
+    # row_factors[i] = c(T_G) c_i(Q*^m), built by Pieri rounds from c(T_G)
+    row_factors = _chern_power_rounds(tangent_chern(box), chern_Q(box), m, dualize=True)
     cs = bundle_power_chern(chern_S_dual(box), m, dualize=False)
     matrix = [[0] * size for _ in range(size)]
     for i in range(min(box.dim, size - 1) + 1):
-        if cq[i].is_zero():
+        if row_factors[i].is_zero():
             continue
-        row_factor = tangent * cq[i]
         for j in range(min(box.dim, size - 1 - i) + 1):
             if cs[j].is_zero():
                 continue
-            matrix[i][i + j] = integrate(row_factor * cs[j])
+            matrix[i][i + j] = pairing(row_factors[i], cs[j])
     return matrix

@@ -210,6 +210,32 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     assert code == 0
     # only Chern-Mather classes persist, and no temp file is left behind
     assert sorted(p.name for p in (tmp_path / "envcache").iterdir()) == ["cm.json"]
+    code, _, _ = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "2")
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "envcache").iterdir()) == ["cm.json"]
+
+
+def test_cache_hit_leaves_file_untouched(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    cold = invoke(capsys, "cm", "-m", "4", "-n", "3", "-k", "1", "--cache-dir", str(cache))
+    before = (cache / "cm.json").stat()
+    warm = invoke(capsys, "cm", "-m", "4", "-n", "3", "-k", "1", "--cache-dir", str(cache))
+    after = (cache / "cm.json").stat()
+    assert cold[:2] == warm[:2] and warm[0] == 0
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_cache_missing_entry_rewritten(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    cm_331 = ["18", "54", "102", "126", "102", "54", "18", "3", "0"]
+    (cache / "cm.json").write_text(json.dumps({"version": CACHE_VERSION, "cm": {"3,3,1": cm_331}}))
+    code, _, err = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "2", "--cache-dir", str(cache))
+    assert code == 0
+    assert "warning" not in err
+    rebuilt = json.loads((cache / "cm.json").read_text())["cm"]
+    assert rebuilt["3,3,1"] == cm_331
+    assert "3,3,2" in rebuilt
 
 
 def test_cache_stale_lr_file_ignored(capsys, tmp_path):
@@ -261,6 +287,7 @@ def test_cache_corrupt_file_recovers(capsys, tmp_path):
     assert code == 0
     assert "warning" in err
     assert OutputDocument.from_json(out).coefficients[0] == "18"
+    assert json.loads((cache / "cm.json").read_text())["cm"]["3,3,1"][0] == "18"
 
 
 def test_cache_non_object_file_recovers(capsys, tmp_path):

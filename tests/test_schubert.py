@@ -2,7 +2,14 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from detchern.errors import BoxSizeError, ParameterError
-from detchern.partitions import binom, lr_expansion, partitions_in_box
+from detchern.partitions import (
+    _LR_CACHE,
+    _candidate_shapes,
+    _count_lr_tableaux,
+    binom,
+    lr_expansion,
+    partitions_in_box,
+)
 from detchern.schubert import (
     Box,
     ChowClass,
@@ -13,6 +20,7 @@ from detchern.schubert import (
     integrate,
     multiply,
     one,
+    pairing,
     schubert_class,
     set_box_cell_limit,
     tangent_chern,
@@ -44,6 +52,15 @@ def box_and_partitions(draw, count=2, max_side=3):
     cols = draw(st.integers(1, max_side))
     lams = tuple(draw(partition_in(rows, cols)) for _ in range(count))
     return Box(rows, cols), lams
+
+
+@st.composite
+def box_and_classes(draw, max_side=3):
+    rows = draw(st.integers(1, max_side))
+    cols = draw(st.integers(1, max_side))
+    box = Box(rows, cols)
+    coeffs = st.dictionaries(partition_in(rows, cols), st.integers(-5, 5), max_size=6)
+    return ChowClass(box, draw(coeffs)), ChowClass(box, draw(coeffs))
 
 
 def test_pieri_square():
@@ -94,6 +111,13 @@ def test_multiply_associative(data):
     box, (lam, mu, nu) = data
     a, b, c = (schubert_class(box, p) for p in (lam, mu, nu))
     assert (a * b) * c == a * (b * c)
+
+
+@given(box_and_classes())
+@settings(max_examples=80, deadline=None)
+def test_pairing_is_degree_of_product(data):
+    x, y = data
+    assert pairing(x, y) == integrate(x * y)
 
 
 def test_integrate_point_class():
@@ -227,6 +251,22 @@ def test_a_matrix_known_values():
     assert a_matrix(4, 3, 2) == A_432
 
 
+@pytest.mark.parametrize("m,n,k", [(5, 5, 2), (6, 6, 3), (5, 4, 3), (6, 5, 2)])
+def test_a_matrix_matches_general_product_formula(m, n, k):
+    # the general LR route: integrate((c(T) * c_i(Q*^m)) * c_j(S*^m))
+    box = boxed(k, n - k)
+    tangent = tangent_chern(box)
+    cq = bundle_power_chern(chern_Q(box), m, dualize=True)
+    cs = bundle_power_chern(chern_S_dual(box), m)
+    size = m * (n - k) + 1
+    want = [[0] * size for _ in range(size)]
+    for i in range(box.dim + 1):
+        for j in range(box.dim + 1):
+            if i + j < size:
+                want[i][i + j] = integrate((tangent * cq[i]) * cs[j])
+    assert a_matrix(m, n, k) == want
+
+
 def test_a_matrix_zero_pattern():
     for (m, n, k) in [(3, 3, 1), (4, 3, 1), (4, 3, 2), (4, 4, 2), (5, 4, 3)]:
         mat = a_matrix(m, n, k)
@@ -264,3 +304,22 @@ def test_lr_expansion_universal_cache_is_box_free():
     assert exp[(4, 4)] == 1
     assert exp[(2, 2, 2, 2)] == 1
     assert sum(c * 1 for c in exp.values()) >= 5
+
+
+@given(box_and_partitions(count=1, max_side=4), st.integers(1, 5), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_pieri_fast_path_matches_lr_tableaux(data, size, column):
+    _, (lam,) = data
+    mu = (1,) * size if column else (size,)
+    want = {nu: c for nu in _candidate_shapes(lam, mu) if (c := _count_lr_tableaux(nu, lam, mu))}
+    if not lam:
+        want = {mu: 1}
+    assert lr_expansion(lam, mu) == want
+    assert _LR_CACHE[(lam, mu)] == want
+
+
+def test_pieri_fast_path_keeps_shapes_outside_every_small_box():
+    assert lr_expansion((2, 1), (3,)) == {(5, 1): 1, (4, 2): 1, (4, 1, 1): 1, (3, 2, 1): 1}
+    assert lr_expansion((2, 1), (1, 1, 1)) == {
+        (3, 2, 1): 1, (3, 1, 1, 1): 1, (2, 2, 1, 1): 1, (2, 1, 1, 1, 1): 1,
+    }
