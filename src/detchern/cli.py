@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -54,6 +55,7 @@ TOOL_VERSION = "detchern 0.1.0"
 DOC_VERSION = "1"
 CACHE_VERSION = "detchern-cache-1"
 CACHE_DIR_ENV = "DETCHERN_CACHE_DIR"
+_DECIMAL = re.compile(r"-?[0-9]+")  # how save_caches writes a cm.json coefficient
 
 
 @dataclass
@@ -222,6 +224,8 @@ def load_caches(cache_dir: str) -> dict | None:
             m, n, k = (int(x) for x in key.split(","))
             if not (0 <= k <= n - 1 <= m - 1) or not isinstance(coeffs, list) or len(coeffs) != m * n:
                 raise ValueError(f"entry {key!r} does not describe a class of tau(m, n, k)")
+            if not all(isinstance(c, str) and _DECIMAL.fullmatch(c) for c in coeffs):
+                raise ValueError(f"entry {key!r} has a coefficient that is not a decimal string")
             values = tuple(int(c) for c in coeffs)
             # a class of a d-dimensional variety ends at [P^d] with a positive degree
             d = variety_dim(m, n, k)

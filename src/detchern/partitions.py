@@ -3,9 +3,12 @@
 Partitions are plain tuples of weakly decreasing positive integers, with
 trailing zeros stripped.  The LR expansion computed here is universal (no
 box restriction); callers working in a Grassmannian Chow ring filter the
-result against their box after lookup.  A single row or column factor is
-expanded by the Pieri rule (adding a horizontal or vertical strip); any
-other pair by counting LR tableaux.  The expansion cache is shared
+result against their box after lookup.  One kernel computes every product:
+s_lam * s_mu adds one horizontal strip per row of mu, the strip of value v
+bounded by the lattice slack that value v-1 left, and counts the chains of
+shapes.  A one-row factor is a single strip (Pieri rule); a factor with
+more rows than columns is expanded through the conjugates, so there are
+never more strips than columns of mu.  The expansion cache is shared
 process-wide and lives in memory only; lr_cache_export/lr_cache_import
 snapshot and seed it.
 """
@@ -13,6 +16,7 @@ snapshot and seed it.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 Partition = tuple[int, ...]
@@ -36,10 +40,6 @@ def normalize(parts) -> Partition:
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     return parts
-
-
-def weight(lam: Partition) -> int:
-    return sum(lam)
 
 
 def fits_in(lam: Partition, rows: int, cols: int) -> bool:
@@ -75,39 +75,17 @@ def partitions_in_box(rows: int, cols: int) -> tuple[Partition, ...]:
 _LR_CACHE: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
 
 
-def _candidate_shapes(lam: Partition, mu: Partition) -> list[Partition]:
-    """Partitions nu containing lam with |nu| = |lam| + |mu| that could carry
-    a nonzero LR coefficient (first-part and length bounds applied)."""
-    total = weight(lam) + weight(mu)
-    maxlen = len(lam) + len(mu)
-    maxfirst = (lam[0] if lam else 0) + (mu[0] if mu else 0)
-    suffix = [0] * (len(lam) + 1)
-    for i in range(len(lam) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + lam[i]
-    out: list[Partition] = []
-
-    def build(row: int, prev: int, remaining: int, acc: list[int]) -> None:
-        if remaining == 0:
-            if row >= len(lam):
-                out.append(tuple(acc))
-            return
-        if row >= maxlen:
-            return
-        lo = max(lam[row] if row < len(lam) else 0, 1)
-        hi = min(prev, remaining - (suffix[row + 1] if row + 1 <= len(lam) else 0))
-        for r in range(lo, hi + 1):
-            acc.append(r)
-            build(row + 1, r, remaining - r, acc)
-            acc.pop()
-
-    build(0, maxfirst, total, [])
-    return out
-
-
-def _horizontal_strips(lam: Partition, r: int) -> list[Partition]:
+def _horizontal_strips(lam: Partition, r: int, above: list[int] | None = None) -> list[Partition]:
     """Partitions nu containing lam such that nu/lam is a horizontal strip of
-    r cells: row i grows by at most lam[i-1] - lam[i], the first row freely."""
+    r cells: row i grows by at most lam[i-1] - lam[i], the first row freely.
+    With `above` (the cells each row of lam gained from the previous value of
+    an LR chain), row i also grows by at most its lattice slack: the cells the
+    rows above it gained from the previous value minus the cells they gain now."""
     padded = lam + (0,)
+    caps = [r] + [padded[i - 1] - padded[i] for i in range(1, len(padded))]
+    # The slack of row i is sum(above[:i]) - (r - remaining), so the room left
+    # is min(caps[i], remaining + lattice[i]); lattice 0 leaves only caps.
+    lattice = [0] * len(padded) if above is None else [min(p - r, 0) for p in accumulate(above, initial=0)]
     out: list[Partition] = []
 
     def build(row: int, remaining: int, acc: list[int]) -> None:
@@ -115,8 +93,7 @@ def _horizontal_strips(lam: Partition, r: int) -> list[Partition]:
             if remaining == 0:
                 out.append(tuple(acc) if acc[-1] else tuple(acc[:-1]))
             return
-        room = remaining if row == 0 else min(remaining, padded[row - 1] - padded[row])
-        for add in range(room + 1):
+        for add in range(min(caps[row], remaining + lattice[row]) + 1):
             acc.append(padded[row] + add)
             build(row + 1, remaining - add, acc)
             acc.pop()
@@ -125,43 +102,25 @@ def _horizontal_strips(lam: Partition, r: int) -> list[Partition]:
     return out
 
 
-def _count_lr_tableaux(nu: Partition, lam: Partition, mu: Partition) -> int:
-    """Number of column-strict fillings of nu/lam with content mu whose
-    reverse reading word (rows top to bottom, each right to left) is a
-    lattice word.  Cells are filled in reading order so the lattice
-    condition prunes immediately."""
-    ell = len(mu)
-    cells: list[tuple[int, int]] = []
-    for i, top in enumerate(nu):
-        lo = lam[i] if i < len(lam) else 0
-        for c in range(top - 1, lo - 1, -1):
-            cells.append((i, c))
-    grid: dict[tuple[int, int], int] = {}
-    need = list(mu)
-    counts = [0] * (ell + 1)
-
-    def place(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        i, c = cells[idx]
-        vmax = grid.get((i, c + 1), ell)
-        vmin = grid.get((i - 1, c), 0) + 1
-        total = 0
-        for v in range(vmin, vmax + 1):
-            if need[v - 1] == 0:
-                continue
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue
-            counts[v] += 1
-            need[v - 1] -= 1
-            grid[(i, c)] = v
-            total += place(idx + 1)
-            counts[v] -= 1
-            need[v - 1] += 1
-            del grid[(i, c)]
-        return total
-
-    return place(0)
+def _lr_chains(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    """c^nu_{lam,mu} as the number of chains lam = nu_0 < nu_1 < ... < nu_l = nu
+    in which nu_v / nu_(v-1) is a horizontal strip of mu[v-1] cells (the cells
+    of an LR tableau holding v) within the lattice slack left by value v-1.
+    Chains are counted by shape pairs (nu_(v-1), nu_v), which fix that slack."""
+    if len(mu) == 1:  # Pieri: a single strip, no lattice bound
+        return dict.fromkeys(_horizontal_strips(lam, mu[0]), 1)
+    chains = {(lam, nu): 1 for nu in _horizontal_strips(lam, mu[0])}
+    for r in mu[1:]:
+        grown: dict[tuple[Partition, Partition], int] = {}
+        for (prev, cur), count in chains.items():
+            above = [c - (prev[i] if i < len(prev) else 0) for i, c in enumerate(cur)]
+            for nu in _horizontal_strips(cur, r, above):
+                grown[cur, nu] = grown.get((cur, nu), 0) + count
+        chains = grown
+    out: dict[Partition, int] = {}
+    for (_, nu), count in chains.items():
+        out[nu] = out.get(nu, 0) + count
+    return out
 
 
 def lr_expansion(lam, mu) -> dict[Partition, int]:
@@ -181,16 +140,10 @@ def lr_expansion(lam, mu) -> dict[Partition, int]:
         result = {lam: 1}
     elif not lam:
         result = {mu: 1}
-    elif len(mu) == 1:  # Pieri: s_lam s_(r) adds a horizontal strip
-        result = dict.fromkeys(_horizontal_strips(lam, mu[0]), 1)
-    elif mu[0] == 1:  # and s_lam s_(1^c) a vertical one
-        result = dict.fromkeys((conjugate(nu) for nu in _horizontal_strips(conjugate(lam), len(mu))), 1)
+    elif len(mu) > mu[0]:  # fewer strips after conjugating: c^nu_{lam,mu} = c^nu'_{lam',mu'}
+        result = {conjugate(nu): c for nu, c in _lr_chains(conjugate(lam), conjugate(mu)).items()}
     else:
-        result = {}
-        for nu in _candidate_shapes(lam, mu):
-            c = _count_lr_tableaux(nu, lam, mu)
-            if c:
-                result[nu] = c
+        result = _lr_chains(lam, mu)
     _LR_CACHE[key] = result
     return result
 

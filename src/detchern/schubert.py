@@ -4,25 +4,27 @@ Classes are stored in the Schubert basis: a map from partitions fitting in
 the k x (n-k) box to arbitrary-precision integers.  A product looks up the
 universal Littlewood-Richardson expansion of each pair of terms and keeps
 the partitions that fit the box (pairs whose degrees add up past the box
-dimension are not expanded at all); a factor that is a single row or column
-class is expanded by the Pieri rule.  On top of the ring the module provides
-the Chern classes of the universal bundles, Chern classes of their m-fold
-(dualized) direct sums, the total Chern class of the tangent bundle from its
-power sums (Murnaghan-Nakayama rule and Newton's identities, no LR
-products), the degree map, the Poincare-duality pairing, and the matrix of
-degrees of tangent-twisted products of those Chern classes that drives the
+dimension are not expanded at all); the expansion is a chain of horizontal
+strips, a single one (the Pieri rule) for a row or column class.  On top of
+the ring the module provides the Chern classes of the universal bundles,
+Chern classes of their m-fold (dualized) direct sums, the total Chern class
+of the tangent bundle from its power sums (Murnaghan-Nakayama rule and
+Newton's identities, no LR products; computed once per box), the degree
+map, the Poincare-duality pairing, and the matrix of degrees of
+tangent-twisted products of those Chern classes that drives the
 characteristic-class formulas downstream.  That matrix needs no general LR
 product: its rows are Pieri products with special classes, and its entries
 are pairings.
 
-Everything is a pure function of immutable values; the one module-level
-cache (LR expansions, in partitions) is deterministic and safe to
-repopulate idempotently from concurrent callers.
+Everything is a pure function of immutable values; the module-level
+caches (LR expansions in partitions, tangent classes per box here) are
+deterministic and safe to repopulate idempotently from concurrent callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .errors import BoxSizeError, ConsistencyError, ParameterError
@@ -258,17 +260,20 @@ def _times_power_sum(box: Box, terms: dict[Partition, int], r: int) -> dict[Part
     """Product of sum c_lam s_lam with p_r(x), by the rim-hook rule on an
     abacus of box.rows beads; shapes that leave the box are dropped."""
     rows = box.rows
+    top = rows - 1 + box.cols  # a bead past this position makes a row longer than cols
     out: dict[Partition, int] = {}
     for lam, c in terms.items():
         beads = [(lam[i] if i < len(lam) else 0) + rows - 1 - i for i in range(rows)]
         for i, b in enumerate(beads):
-            if b + r in beads:
+            if b + r > top or b + r in beads:
                 continue
             jumped = sum(1 for other in beads if b < other < b + r)
             moved = sorted(beads[:i] + [b + r] + beads[i + 1:], reverse=True)
-            nu = normalize(p - (rows - 1 - j) for j, p in enumerate(moved))
-            if box.fits(nu):
-                out[nu] = out.get(nu, 0) + (-1) ** jumped * c
+            parts = [p - (rows - 1 - j) for j, p in enumerate(moved)]
+            while parts and parts[-1] == 0:
+                parts.pop()
+            nu = tuple(parts)
+            out[nu] = out.get(nu, 0) + (-1) ** jumped * c
     return {nu: c for nu, c in out.items() if c}
 
 
@@ -291,10 +296,11 @@ def _times_tangent_power_sum(box: Box, terms: dict[Partition, int], j: int) -> d
     return out
 
 
+@lru_cache(maxsize=None)
 def tangent_chern(box: Box) -> ChowClass:
     """Total Chern class of the tangent bundle of G(k, n), reduced into the
     Schubert basis through Newton's identities
-    j c_j(T) = sum_i (-1)^(i-1) c_(j-i)(T) p_i(T)."""
+    j c_j(T) = sum_i (-1)^(i-1) c_(j-i)(T) p_i(T).  Computed once per box."""
     chern: list[dict[Partition, int]] = [{(): 1}]
     for j in range(1, box.dim + 1):
         acc: dict[Partition, int] = {}

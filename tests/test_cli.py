@@ -259,12 +259,18 @@ def test_cache_unwritable_dir_warns(capsys, tmp_path):
     assert OutputDocument.from_json(out).coefficients[0] == "18"
 
 
+CM_331 = ["18", "54", "102", "126", "102", "54", "18", "3", "0"]  # cm -m 3 -n 3 -k 1
+
+
 @pytest.mark.parametrize("entry", [
     {"3,3,1": ["1"]},  # wrong coefficient count
     {"3,3,1": "123456789"},  # not a list
     {"3,3,9": ["0"] * 9},  # k out of range
     {"3,4,1": ["0"] * 12},  # n > m
     {"3,3,1": ["1"] * 9},  # well-formed, but nonzero above [P^7] = [P^dim]
+    {"3,3,1": [*CM_331[:7], True, "0"]},  # a JSON bool, which int() reads as 1
+    {"3,3,1": [*CM_331[:7], 3.5, "0"]},  # a JSON float, which int() truncates
+    {"3,3,1": [*CM_331[:7], "٣", "0"]},  # a non-ASCII digit, which int() accepts
 ])
 def test_cache_invalid_entry_rejected(capsys, tmp_path, entry):
     cache = tmp_path / "cache"

@@ -1,11 +1,9 @@
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
 from detchern.errors import BoxSizeError, ParameterError
 from detchern.partitions import (
     _LR_CACHE,
-    _candidate_shapes,
-    _count_lr_tableaux,
     binom,
     lr_expansion,
     partitions_in_box,
@@ -306,14 +304,37 @@ def test_lr_expansion_universal_cache_is_box_free():
     assert sum(c * 1 for c in exp.values()) >= 5
 
 
+def schur_oracle(lam, mu):
+    """Universal s_lam * s_mu: len(lam) + len(mu) variables and a box of width
+    lam[0] + mu[0] hold every shape of the product."""
+    rows = max(len(lam) + len(mu), 1)
+    cols = (lam[0] if lam else 0) + (mu[0] if mu else 0)
+    return schur_product_in_box(lam, mu, rows, cols)
+
+
+@given(partition_in(3, 4), partition_in(4, 4))
+@example((2, 1), (3, 1))  # wide: one strip per row of mu
+@example((2, 1), (2, 1, 1))  # tall: expanded through the conjugates
+@example((2, 2), (2, 2))  # equal rows of mu: the lattice slack binds
+@example((3, 1), (4,))  # one row
+@example((2, 2), (1, 1, 1, 1))  # one column
+@example((2, 1), ())
+@example((), (2, 1))
+@settings(max_examples=150, deadline=None)
+def test_lr_expansion_matches_schur_oracle(lam, mu):
+    assume(sum(lam) + sum(mu) <= 8 and len(lam) + len(mu) <= 6)
+    want = schur_oracle(lam, mu)
+    assert lr_expansion(lam, mu) == want
+    assert _LR_CACHE[(lam, mu)] == want
+
+
 @given(box_and_partitions(count=1, max_side=4), st.integers(1, 5), st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_pieri_fast_path_matches_lr_tableaux(data, size, column):
+def test_pieri_fast_path_matches_schur_oracle(data, size, column):
     _, (lam,) = data
     mu = (1,) * size if column else (size,)
-    want = {nu: c for nu in _candidate_shapes(lam, mu) if (c := _count_lr_tableaux(nu, lam, mu))}
-    if not lam:
-        want = {mu: 1}
+    assume(len(lam) + len(mu) <= 7)
+    want = schur_oracle(lam, mu)
     assert lr_expansion(lam, mu) == want
     assert _LR_CACHE[(lam, mu)] == want
 
