@@ -8,31 +8,77 @@ hypersurface case) the Chern-Fulton and Milnor classes.  All classes live
 in the Chow group of P^(mn-1) and are stored little-endian over the basis
 [P^0], ..., [P^N]; the reversal to hyperplane-power coefficients happens in
 exactly one place (ProjClass.h_coefficients / from_h_coefficients).
+
+ProjClass and lagrangian.BiProjClass are both dense integer tuples and
+share their linear operations through CoeffVector.  The c_SM classes of
+tau(m, n, k) and of its open stratum, and the characteristic cycles in
+lagrangian, are all one alternating binomial sum over the deeper strata,
+written once in strata_sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ConsistencyError, ParameterError, check_params
 from .partitions import binom
 from .schubert import a_matrix
 
 
-class ProjClass:
-    """Integer class in the Chow group of P^N, coefficients over [P^l]."""
+class CoeffVector:
+    """Dense integer coefficient vector over a basis indexed by an ambient
+    dimension; subclasses fix how many coefficients that dimension has
+    (ambient_dim + _EXTRA) and how to read them."""
 
     __slots__ = ("coeffs",)
+    _EXTRA = 0
 
     def __init__(self, ambient_dim: int, coeffs=None):
-        if coeffs is None:
-            coeffs = [0] * (ambient_dim + 1)
-        coeffs = tuple(int(c) for c in coeffs)
-        if len(coeffs) != ambient_dim + 1:
-            raise ValueError(
-                f"expected {ambient_dim + 1} coefficients, got {len(coeffs)}"
-            )
+        size = ambient_dim + self._EXTRA
+        coeffs = (0,) * size if coeffs is None else tuple(int(c) for c in coeffs)
+        if len(coeffs) != size:
+            raise ValueError(f"expected {size} coefficients, got {len(coeffs)}")
         self.coeffs = coeffs
+
+    def _new(self, coeffs):
+        """A vector of the same type and ambient dimension; no validation."""
+        out = object.__new__(type(self))
+        out.coeffs = tuple(coeffs)
+        return out
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __add__(self, other):
+        if type(other) is not type(self) or len(other.coeffs) != len(self.coeffs):
+            raise ValueError("ambient dimension mismatch")
+        return self._new(a + b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._new(-a for a in self.coeffs)
+
+    def __mul__(self, scalar: int):
+        if not isinstance(scalar, int):
+            return NotImplemented
+        return self._new(a * scalar for a in self.coeffs)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+
+class ProjClass(CoeffVector):
+    """Integer class in the Chow group of P^N, coefficients over [P^l]."""
+
+    __slots__ = ()
+    _EXTRA = 1
 
     @property
     def ambient_dim(self) -> int:
@@ -58,39 +104,8 @@ class ProjClass:
         n = self.ambient_dim
         return ProjClass(n, [self.coeffs[l + p] if l + p <= n else 0 for l in range(n + 1)])
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __add__(self, other: "ProjClass") -> "ProjClass":
-        self._check(other)
-        return ProjClass(self.ambient_dim, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "ProjClass") -> "ProjClass":
-        self._check(other)
-        return ProjClass(self.ambient_dim, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "ProjClass":
-        return ProjClass(self.ambient_dim, [-a for a in self.coeffs])
-
-    def __mul__(self, scalar: int) -> "ProjClass":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return ProjClass(self.ambient_dim, [a * scalar for a in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProjClass) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         return f"ProjClass({list(self.coeffs)})"
-
-    def _check(self, other: "ProjClass") -> None:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
 
 
 @dataclass(frozen=True)
@@ -115,17 +130,21 @@ def variety_dim(m: int, n: int, k: int) -> int:
     return (m + k) * (n - k) - 1
 
 
-def _check_params(m: int, n: int, k: int, k_min: int) -> None:
-    if not (k_min <= k <= n - 1 <= m - 1):
-        raise ParameterError(
-            f"need {k_min} <= k <= n-1 <= m-1, got m={m} n={n} k={k}"
-        )
+def strata_sum(n: int, k: int, open_stratum: bool, term, zero):
+    """sum_i (-1)^i w_i term(k+i) over the strata k+i = k..n-1, with
+    w_i = binom(k+i, k) for the open stratum of kernel dimension exactly k
+    and w_i = binom(k+i-1, k-1) for the closure tau(m, n, k)."""
+    out = zero
+    for i in range(n - k):
+        w = binom(k + i, k) if open_stratum else binom(k + i - 1, k - 1)
+        out = out + (-1) ** i * w * term(k + i)
+    return out
 
 
 def b_matrix(m: int, n: int, k: int) -> list[list[int]]:
     """Square binomial matrix of size m(n-k)+1 with entry (i, p) equal to
     binom(m(n-k)-p, i-p); vanishes above the diagonal (i < p)."""
-    _check_params(m, n, k, k_min=1)
+    check_params(m, n, k)
     size = m * (n - k) + 1
     top = m * (n - k)
     return [[binom(top - p, i - p) for p in range(size)] for i in range(size)]
@@ -142,7 +161,7 @@ def cm_class(m: int, n: int, k: int) -> ProjClass:
     A and the binomial matrix B.  For k = 0 the variety is the ambient
     space and the class is (1+H)^(mn) truncated.
     """
-    _check_params(m, n, k, k_min=0)
+    check_params(m, n, k, k_min=0)
     key = (m, n, k)
     hit = _CM_CACHE.get(key)
     if hit is not None:
@@ -173,7 +192,7 @@ def cm_class_via_trace(m: int, n: int, k: int) -> ProjClass:
     """Cross-check path: literal trace of A * H * B over the truncated
     polynomial ring Z[H]/(H^mn), where H is the matrix [H^(mk+j-i)].
     Monomials with negative exponents must cancel identically."""
-    _check_params(m, n, k, k_min=1)
+    check_params(m, n, k)
     N = m * n - 1
     top = m * (n - k)
     A = a_matrix(m, n, k)
@@ -197,7 +216,7 @@ def cm_class_via_trace(m: int, n: int, k: int) -> ProjClass:
         if c == 0:
             continue
         if e < 0:
-            raise ArithmeticError(f"negative hyperplane power survived: H^{e}")
+            raise ConsistencyError(f"negative hyperplane power survived: H^{e}")
         gamma[e] = c
     return ProjClass.from_h_coefficients(gamma)
 
@@ -206,29 +225,23 @@ def csm_class(m: int, n: int, k: int) -> ProjClass:
     """Chern-Schwartz-MacPherson class of the closed variety tau(m, n, k):
     alternating binomial combination of the Chern-Mather classes of the
     deeper strata closures."""
-    _check_params(m, n, k, k_min=0)
+    check_params(m, n, k, k_min=0)
     if k == 0:
         return cm_class(m, n, 0)
-    out = ProjClass(m * n - 1)
-    for i in range(n - k):
-        out = out + (-1) ** i * binom(k + i - 1, k - 1) * cm_class(m, n, k + i)
-    return out
+    return strata_sum(n, k, False, lambda j: cm_class(m, n, j), ProjClass(m * n - 1))
 
 
 def csm_open(m: int, n: int, k: int) -> ProjClass:
     """Chern-Schwartz-MacPherson class of the open stratum (matrices of
     kernel dimension exactly k)."""
-    _check_params(m, n, k, k_min=0)
-    out = ProjClass(m * n - 1)
-    for i in range(n - k):
-        out = out + (-1) ** i * binom(k + i, k) * cm_class(m, n, k + i)
-    return out
+    check_params(m, n, k, k_min=0)
+    return strata_sum(n, k, True, lambda j: cm_class(m, n, j), ProjClass(m * n - 1))
 
 
 def euler_obstruction(m: int, n: int, k: int) -> StrataVector:
     """Local Euler obstruction of tau(m, n, k): binom(k+i, i) on the
     stratum of kernel dimension exactly k+i."""
-    _check_params(m, n, k, k_min=1)
+    check_params(m, n, k)
     return StrataVector(k, tuple(binom(k + i, i) for i in range(n - k)))
 
 
@@ -252,8 +265,6 @@ def chern_fulton_hypersurface(n: int) -> ProjClass:
 def milnor_class(n: int) -> ProjClass:
     """Milnor class of the determinant hypersurface: the signed difference
     (-1)^dim (c_Fulton - c_SM), supported on the singular locus."""
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
     sign = (-1) ** (n * n - 2)
     return sign * (chern_fulton_hypersurface(n) - csm_class(n, n, 1))
 

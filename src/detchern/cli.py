@@ -36,7 +36,7 @@ from .classes import (
     milnor_class,
     variety_dim,
 )
-from .errors import BoxSizeError, ConsistencyError, ParameterError
+from .errors import BoxSizeError, ConsistencyError, ParameterError, check_params
 from .lagrangian import (
     ch_from_class,
     charcycle,
@@ -222,7 +222,8 @@ def load_caches(cache_dir: str) -> dict | None:
         entries = {}
         for key, coeffs in data["cm"].items():
             m, n, k = (int(x) for x in key.split(","))
-            if not (0 <= k <= n - 1 <= m - 1) or not isinstance(coeffs, list) or len(coeffs) != m * n:
+            check_params(m, n, k, k_min=0)
+            if not isinstance(coeffs, list) or len(coeffs) != m * n:
                 raise ValueError(f"entry {key!r} does not describe a class of tau(m, n, k)")
             if not all(isinstance(c, str) and _DECIMAL.fullmatch(c) for c in coeffs):
                 raise ValueError(f"entry {key!r} has a coefficient that is not a decimal string")
@@ -271,6 +272,7 @@ def save_caches(cache_dir: str) -> None:
 
 
 def _checked_dual_cm(m: int, n: int, k: int) -> tuple[int, ...]:
+    check_params(m, n, k)
     dual = dual_cm(cm_class(m, n, k), variety_dim(m, n, k))
     if dual != cm_class(m, n, n - k):
         raise ConsistencyError(

@@ -6,92 +6,49 @@ independent routes that must agree), generic Euclidean distance degrees,
 the exponent-swapping flip, and the dual-variety involution on
 Chern-Mather classes.
 
+A BiProjClass is a classes.CoeffVector: its N coefficients are stored
+densely by descending h1 exponent (h1^N h2, ..., h1 h2^N), the order of
+`dense()` and of the reference tables, so the flip is a reversal.
 Conormal cycles are stored with the (-1)^dim prefactor already applied, so
 their coefficients are the (nonnegative) polar degrees; characteristic
-cycles keep the signs produced by the alternating sums.
+cycles are the classes.strata_sum of those signed conormal cycles and keep
+the signs produced by the alternating sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classes import ProjClass, cm_class, variety_dim
-from .errors import ConsistencyError, ParameterError
+from .classes import CoeffVector, ProjClass, cm_class, strata_sum, variety_dim
+from .errors import ConsistencyError, ParameterError, check_params
 from .partitions import binom
 
 
-class BiProjClass:
+class BiProjClass(CoeffVector):
     """Integer class of dimension N in P^N x P^N: coefficients of the
-    monomials h1^a h2^b with a + b = N + 1 and 1 <= a, b <= N."""
+    monomials h1^a h2^(N+1-a), stored by descending a = N, ..., 1."""
 
-    __slots__ = ("N", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, N: int, coeffs: dict[tuple[int, int], int] | None = None):
-        self.N = N
-        clean: dict[tuple[int, int], int] = {}
-        if coeffs:
-            for (a, b), c in coeffs.items():
-                if a + b != N + 1 or a < 1 or b < 1:
-                    raise ValueError(f"monomial h1^{a} h2^{b} invalid for N={N}")
-                if c:
-                    clean[(a, b)] = clean.get((a, b), 0) + c
-        self.coeffs = clean
+    @property
+    def N(self) -> int:
+        return len(self.coeffs)
 
-    def coefficient(self, a: int, b: int | None = None) -> int:
-        if b is None:
-            b = self.N + 1 - a
-        return self.coeffs.get((a, b), 0)
+    def coefficient(self, a: int) -> int:
+        return self.coeffs[self.N - a] if 1 <= a <= self.N else 0
 
     def dense(self) -> tuple[int, ...]:
         """Coefficients by descending h1 exponent: h1^N h2, ..., h1 h2^N."""
-        return tuple(self.coefficient(a) for a in range(self.N, 0, -1))
-
-    @classmethod
-    def from_dense(cls, N: int, values) -> "BiProjClass":
-        values = list(values)
-        if len(values) != N:
-            raise ValueError(f"expected {N} coefficients, got {len(values)}")
-        return cls(N, {(N - i, i + 1): v for i, v in enumerate(values) if v})
+        return self.coeffs
 
     def dagger(self) -> "BiProjClass":
         """Swap the h1 and h2 exponents of every monomial (an involution)."""
-        return BiProjClass(self.N, {(b, a): c for (a, b), c in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "BiProjClass") -> "BiProjClass":
-        self._check(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return BiProjClass(self.N, out)
-
-    def __sub__(self, other: "BiProjClass") -> "BiProjClass":
-        return self + (-1) * other
-
-    def __mul__(self, scalar: int) -> "BiProjClass":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return BiProjClass(self.N, {key: c * scalar for key, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiProjClass) and self.N == other.N and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.N, tuple(sorted(self.coeffs.items()))))
+        return self._new(reversed(self.coeffs))
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = [f"{c}*h1^{a}h2^{b}" for (a, b), c in sorted(self.coeffs.items(), reverse=True)]
-        return " + ".join(bits)
-
-    def _check(self, other: "BiProjClass") -> None:
-        if self.N != other.N:
-            raise ValueError("ambient mismatch")
+        N = self.N
+        bits = [f"{c}*h1^{N - i}h2^{i + 1}" for i, c in enumerate(self.coeffs) if c]
+        return " + ".join(bits) or "0"
 
 
 def dagger(x: BiProjClass) -> BiProjClass:
@@ -104,7 +61,7 @@ def ch_from_class(c: ProjClass) -> BiProjClass:
     result is sum over j of sum_{l >= j-1} (-1)^l gamma_l binom(l+1, j)
     on the monomial h1^(N+1-j) h2^j."""
     N = c.ambient_dim
-    out: dict[tuple[int, int], int] = {}
+    out = []
     gamma = c.coeffs
     for j in range(1, N + 1):
         total = 0
@@ -112,14 +69,8 @@ def ch_from_class(c: ProjClass) -> BiProjClass:
             g = gamma[l]
             if g:
                 total += (-1) ** l * g * binom(l + 1, j)
-        if total:
-            out[(N + 1 - j, j)] = total
+        out.append(total)
     return BiProjClass(N, out)
-
-
-def _check_params(m: int, n: int, k: int) -> None:
-    if not (1 <= k <= n - 1 <= m - 1):
-        raise ParameterError(f"need 1 <= k <= n-1 <= m-1, got m={m} n={n} k={k}")
 
 
 _CON_CACHE: dict[tuple[int, int, int], BiProjClass] = {}
@@ -129,7 +80,7 @@ def conormal(m: int, n: int, k: int) -> BiProjClass:
     """Projectivized conormal cycle of tau(m, n, k): the characteristic
     cycle of its local Euler obstruction, normalized by (-1)^dim so all
     coefficients are nonnegative polar degrees."""
-    _check_params(m, n, k)
+    check_params(m, n, k)
     key = (m, n, k)
     hit = _CON_CACHE.get(key)
     if hit is None:
@@ -139,32 +90,21 @@ def conormal(m: int, n: int, k: int) -> BiProjClass:
     return hit
 
 
-def _euler_to_indicator_sign(m: int, n: int, k: int, i: int) -> int:
-    # sign carried by Con(tau_{m,n,k+i}) inside a characteristic cycle:
-    # (-1)^i from the change of basis times (-1)^dim from ch(Eu) = +-Con
-    return (-1) ** (i + variety_dim(m, n, k + i))
+def _signed_conormal(m: int, n: int, j: int) -> BiProjClass:
+    # ch(Eu) = (-1)^dim Con, so this is the characteristic cycle of Eu
+    return (-1) ** variety_dim(m, n, j) * conormal(m, n, j)
 
 
 def charcycle(m: int, n: int, k: int) -> BiProjClass:
     """Characteristic cycle of the closed variety tau(m, n, k)."""
-    _check_params(m, n, k)
-    out = BiProjClass(m * n - 1)
-    for i in range(n - k):
-        coeff = binom(k + i - 1, k - 1) * _euler_to_indicator_sign(m, n, k, i)
-        if coeff:
-            out = out + coeff * conormal(m, n, k + i)
-    return out
+    check_params(m, n, k)
+    return strata_sum(n, k, False, lambda j: _signed_conormal(m, n, j), BiProjClass(m * n - 1))
 
 
 def charcycle_open(m: int, n: int, k: int) -> BiProjClass:
     """Characteristic cycle of the open stratum of kernel dimension k."""
-    _check_params(m, n, k)
-    out = BiProjClass(m * n - 1)
-    for i in range(n - k):
-        coeff = binom(k + i, k) * _euler_to_indicator_sign(m, n, k, i)
-        if coeff:
-            out = out + coeff * conormal(m, n, k + i)
-    return out
+    check_params(m, n, k)
+    return strata_sum(n, k, True, lambda j: _signed_conormal(m, n, j), BiProjClass(m * n - 1))
 
 
 def polar_degrees(m: int, n: int, k: int) -> list[int]:
@@ -174,7 +114,7 @@ def polar_degrees(m: int, n: int, k: int) -> list[int]:
     h1^(codim+l) h2^(mn-codim-l).  Secondary route: the polar-class degree
     sums over the Chern-Mather coefficients.  The routes must agree.
     """
-    _check_params(m, n, k)
+    check_params(m, n, k)
     N = m * n - 1
     d = variety_dim(m, n, k)
     codim = N - d

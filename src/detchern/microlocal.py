@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classes import StrataVector
-from .errors import ConsistencyError, ParameterError
+from .errors import ConsistencyError, ParameterError, check_params
 from .lagrangian import BiProjClass, conormal
 from .partitions import binom
 
@@ -43,8 +43,7 @@ class IndexSystem:
 def stalk_euler(m: int, n: int, k: int) -> StrataVector:
     """Stalk Euler characteristics of the intersection-cohomology sheaf of
     tau(m, n, k) on the strata j = 0..n-1: binom(j, k)."""
-    if not (1 <= k <= n - 1 <= m - 1):
-        raise ParameterError(f"need 1 <= k <= n-1 <= m-1, got m={m} n={n} k={k}")
+    check_params(m, n, k)
     return StrataVector(0, tuple(binom(j, k) for j in range(n)))
 
 

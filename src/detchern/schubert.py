@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import BoxSizeError, ConsistencyError, ParameterError
+from .errors import BoxSizeError, ConsistencyError, ParameterError, check_params
 from .partitions import Partition, fits_in, lr_expansion, normalize
 
 # Desk-scale guardrail against accidental combinatorial blowup; override via
@@ -325,8 +325,7 @@ def a_matrix(m: int, n: int, k: int) -> list[list[int]]:
     Entries vanish for i > p (negative Chern index) and whenever either
     Chern class degree exceeds the box dimension.
     """
-    if not (1 <= k <= n - 1 <= m - 1):
-        raise ParameterError(f"need 1 <= k <= n-1 <= m-1, got m={m} n={n} k={k}")
+    check_params(m, n, k)
     box = Box(k, n - k)
     size = m * (n - k) + 1
     # row_factors[i] = c(T_G) c_i(Q*^m), built by Pieri rounds from c(T_G)

@@ -1,3 +1,5 @@
+from math import factorial, prod
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
@@ -74,6 +76,38 @@ def test_cm_smooth_ambient_case():
 def test_euler_characteristic_is_n_squared(n):
     for k in range(n):
         assert csm_class(n, n, k).coefficient(0) == n * n
+
+
+def closed_form_degree(m, n, k):
+    """Degree of tau(m, n, k): prod_{i<k} i! (m+i)! / ((n-k+i)! (m-n+k+i)!)."""
+    num = prod(factorial(i) * factorial(m + i) for i in range(k))
+    den = prod(factorial(n - k + i) * factorial(m - n + k + i) for i in range(k))
+    assert num % den == 0
+    return num // den
+
+
+@pytest.mark.parametrize("m,n,k", [(m, n, k) for m in range(2, 8) for n in range(2, m + 1)
+                                   for k in range(n)])
+def test_closed_form_oracles(m, n, k):
+    # [P^0] of a c_SM class is the Euler characteristic.  The torus scaling
+    # rows and columns fixes exactly the mn matrix units, all of rank one:
+    # they lie in every tau(m, n, k), and in the open stratum iff k = n-1
+    assert csm_class(m, n, k).coefficient(0) == m * n
+    assert csm_open(m, n, k).coefficient(0) == (m * n if k == n - 1 else 0)
+    d = variety_dim(m, n, k)
+    assert cm_class(m, n, k).coefficient(d) == closed_form_degree(m, n, k)
+    assert csm_class(m, n, k).coefficient(d) == closed_form_degree(m, n, k)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 10) for n in range(2, m + 1)])
+def test_rank_one_locus_is_segre_variety(m, n):
+    # tau(m, n, n-1) is the smooth Segre image of P^(m-1) x P^(n-1), so
+    # c_M = c_SM = c(T) = (1+h1)^m (1+h2)^n pushed forward under H = h1 + h2
+    d = m + n - 2
+    segre = [sum(binom(m, a) * binom(n, d - l - a) * binom(l, m - 1 - a) for a in range(m))
+             for l in range(m * n)]
+    assert list(cm_class(m, n, n - 1).coeffs) == segre
+    assert list(csm_class(m, n, n - 1).coeffs) == segre
 
 
 @pytest.mark.parametrize("m,n,k", list(all_mnk([(3, 3), (4, 3), (4, 4), (5, 4)], k_min=0)))
@@ -196,6 +230,8 @@ def test_parameter_errors():
         euler_obstruction(3, 3, 0)
     with pytest.raises(ParameterError):
         chern_fulton_hypersurface(1)
+    with pytest.raises(ParameterError):
+        milnor_class(1)
 
 
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=12))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from detchern import cli
+from detchern import classes, cli
 from detchern.cli import (
     CACHE_VERSION,
     OutputDocument,
@@ -113,6 +113,29 @@ def test_dual_check(capsys):
     assert code == 0
     doc = OutputDocument.from_json(out)
     assert doc.meta["dual_of"] == "(4,4,3)"
+
+
+def test_dual_check_rejects_k_zero(capsys):
+    code, _, err = invoke(capsys, "dual_check", "-m", "3", "-n", "3", "-k", "0")
+    assert code == 2
+    assert "k=0" in err
+
+
+def test_check_flag_reports_trace_failure(capsys, monkeypatch):
+    # a corrupted degree matrix leaves a negative hyperplane power in the
+    # trace route, which must surface as a consistency failure, not a traceback
+    real_a_matrix = classes.a_matrix
+
+    def bad_a_matrix(m, n, k):
+        A = real_a_matrix(m, n, k)
+        A[0][-1] += 1
+        return A
+
+    monkeypatch.setattr(classes, "a_matrix", bad_a_matrix)
+    monkeypatch.setattr(classes, "_CM_CACHE", {})
+    code, _, err = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "1", "--check")
+    assert code == 3
+    assert "consistency failure" in err and "Traceback" not in err
 
 
 def test_symmetry_report(capsys):
