@@ -95,7 +95,7 @@ class ProjClass(CoeffVector):
         return cls(len(hcoeffs) - 1, list(reversed(hcoeffs)))
 
     def coefficient(self, l: int) -> int:
-        return self.coeffs[l]
+        return self.coeffs[l] if 0 <= l <= self.ambient_dim else 0
 
     def hyperplane_power(self, p: int) -> "ProjClass":
         """Cap with H^p: shifts [P^l] down to [P^(l-p)], truncating below 0."""

@@ -12,23 +12,25 @@ of the tangent bundle from its power sums (Murnaghan-Nakayama rule and
 Newton's identities, no LR products; computed once per box), the degree
 map, the Poincare-duality pairing, and the matrix of degrees of
 tangent-twisted products of those Chern classes that drives the
-characteristic-class formulas downstream.  That matrix needs no general LR
-product: its rows are Pieri products with special classes, and its entries
-are pairings.
+characteristic-class formulas downstream.  That matrix takes no products
+of classes: its rows are m rounds of Pieri steps on c(T_G) through a
+per-box table, its columns c(S*^m) are closed by the dual Cauchy identity
+and the hook-content formula, and Poincare duality reads each entry off the
+complement of a row's partition.
 
 Everything is a pure function of immutable values; the module-level
-caches (LR expansions in partitions, tangent classes per box here) are
-deterministic and safe to repopulate idempotently from concurrent callers.
+caches (LR expansions in partitions, tangent classes and Pieri tables per
+box here) are deterministic and safe to repopulate from concurrent callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .errors import BoxSizeError, ConsistencyError, ParameterError, check_params
-from .partitions import Partition, fits_in, lr_expansion, normalize
+from .partitions import Partition, conjugate, fits_in, lr_expansion, normalize, partitions_in_box
 
 # Desk-scale guardrail against accidental combinatorial blowup; override via
 # set_box_cell_limit (library) or --max-box (CLI).
@@ -71,6 +73,11 @@ class Box:
 
     def fits(self, lam: Partition) -> bool:
         return fits_in(lam, self.rows, self.cols)
+
+    def complement(self, lam: Partition) -> Partition:
+        """The Poincare dual of lam: the rest of the box, rotated 180 degrees."""
+        padded = lam + (0,) * (self.rows - len(lam))
+        return tuple(self.cols - p for p in reversed(padded) if p < self.cols)
 
 
 class ChowClass:
@@ -192,13 +199,7 @@ def pairing(x: ChowClass, y: ChowClass) -> int:
     x._check_box(y)
     if len(x.terms) > len(y.terms):
         x, y = y, x  # look up the complements of the sparser class
-    rows, cols = x.box.rows, x.box.cols
-    total = 0
-    for lam, c in x.terms.items():
-        padded = lam + (0,) * (rows - len(lam))
-        dual = tuple(cols - p for p in reversed(padded) if p < cols)  # zero parts dropped
-        total += c * y.terms.get(dual, 0)
-    return total
+    return sum(c * y.terms.get(x.box.complement(lam), 0) for lam, c in x.terms.items())
 
 
 def chern_Q(box: Box) -> list[ChowClass]:
@@ -219,30 +220,16 @@ def bundle_power_chern(chern: list[ChowClass], m: int, dualize: bool = False) ->
         raise ParameterError(f"multiplicity must be positive, got {m}")
     if not chern or chern[0] != one(chern[0].box):
         raise ValueError("total Chern class sequence must start with 1")
-    return _chern_power_rounds(one(chern[0].box), chern, m, dualize)
-
-
-def _chern_power_rounds(start: ChowClass, chern: list[ChowClass], m: int, dualize: bool) -> list[ChowClass]:
-    """[start * c_d(E^m) for d = 0..box.dim], where E^m is the m-fold direct
-    sum of the bundle E with total Chern class `chern` (dualized if asked):
-    m rounds, each multiplying by c(E).  When `chern` is c(Q) or c(S*), every factor is a signed
-    special class s_(e) or s_(1^e), so each product is a Pieri product."""
-    box = start.box
-    top = box.dim
+    box, top = chern[0].box, chern[0].box.dim
     base = [zero(box) for _ in range(top + 1)]
     for i, piece in enumerate(chern[: top + 1]):
         base[i] = -piece if (dualize and i % 2 == 1) else piece
-    out = [start] + [zero(box) for _ in range(top)]
-    for _ in range(m):
-        nxt = [zero(box) for _ in range(top + 1)]
-        for d in range(top + 1):
-            acc = zero(box)
-            for a in range(d + 1):
-                if out[a].is_zero() or base[d - a].is_zero():
-                    continue
-                acc = acc + out[a] * base[d - a]
-            nxt[d] = acc
-        out = nxt
+    out = [one(box)] + [zero(box) for _ in range(top)]
+    for _ in range(m):  # each round multiplies by c(E)
+        out = [
+            sum((out[a] * base[d - a] for a in range(d + 1) if out[a].terms and base[d - a].terms), zero(box))
+            for d in range(top + 1)
+        ]
     return out
 
 
@@ -318,25 +305,52 @@ def tangent_chern(box: Box) -> ChowClass:
     return ChowClass(box, {nu: c for piece in chern for nu, c in piece.items()})
 
 
+@lru_cache(maxsize=None)
+def _row_pieri(box: Box) -> dict[Partition, list[tuple[int, Partition]]]:
+    """For each lam in the box, every (e, nu) with s_nu a term of s_lam * s_(e)
+    in the box, e = 1..min(cols, dim - |lam|).  Built once per box."""
+    table: dict[Partition, list[tuple[int, Partition]]] = {}
+    for lam in partitions_in_box(box.rows, box.cols):
+        top = min(box.cols, box.dim - sum(lam))
+        table[lam] = [(e, nu) for e in range(1, top + 1) for nu in lr_expansion(lam, (e,)) if box.fits(nu)]
+    return table
+
+
+@lru_cache(maxsize=None)
+def _schur_at_ones(lam: Partition, m: int) -> int:
+    """s_lam(1^m) by the hook-content formula: prod over cells (i, j) of (m + j - i) / hook."""
+    heights = conjugate(lam)
+    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+    contents = prod(m + j - i for i, j in cells)
+    value, rem = divmod(contents, prod(lam[i] - j + heights[j] - i - 1 for i, j in cells))
+    if rem:
+        raise ConsistencyError(f"s_{lam}(1^{m}) is not integral")
+    return value
+
+
 def a_matrix(m: int, n: int, k: int) -> list[list[int]]:
     """Square integer matrix of size m(n-k)+1 whose (i, p) entry is the
-    degree of c(T_G) c_i(Q*^m) c_(p-i)(S*^m) on G(k, n).
+    degree of c(T_G) c_i(Q*^m) c_(p-i)(S*^m) on G(k, n); zero for i > p.
 
-    Entries vanish for i > p (negative Chern index) and whenever either
-    Chern class degree exceeds the box dimension.
+    Rows: m rounds from c(T_G) at Q*-degree 0, each adding (-1)^e c s_nu at
+    degree i+e for every term c s_lam at degree i and Pieri term (e, nu) of
+    lam.  Columns: c_j(S*^m) = sum_{|mu|=j} s_mu'(1^m) s_mu (dual Cauchy), so
+    a row term c s_lam adds c s_mu'(1^m) at p = i + |mu|, mu its complement.
     """
     check_params(m, n, k)
     box = Box(k, n - k)
-    size = m * (n - k) + 1
-    # row_factors[i] = c(T_G) c_i(Q*^m), built by Pieri rounds from c(T_G)
-    row_factors = _chern_power_rounds(tangent_chern(box), chern_Q(box), m, dualize=True)
-    cs = bundle_power_chern(chern_S_dual(box), m, dualize=False)
-    matrix = [[0] * size for _ in range(size)]
-    for i in range(min(box.dim, size - 1) + 1):
-        if row_factors[i].is_zero():
-            continue
-        for j in range(min(box.dim, size - 1 - i) + 1):
-            if cs[j].is_zero():
-                continue
-            matrix[i][i + j] = pairing(row_factors[i], cs[j])
+    top = m * (n - k)
+    pieri = _row_pieri(box)
+    terms = {(0, lam): c for lam, c in tangent_chern(box).terms.items()}
+    for _ in range(m):
+        grown = dict(terms)
+        for (i, lam), c in terms.items():
+            for e, nu in pieri[lam]:
+                grown[i + e, nu] = grown.get((i + e, nu), 0) + (-c if e & 1 else c)
+        terms = grown
+    matrix = [[0] * (top + 1) for _ in range(top + 1)]
+    for (i, lam), c in terms.items():
+        p = i + box.dim - sum(lam)
+        if c and p <= top:
+            matrix[i][p] += c * _schur_at_ones(conjugate(box.complement(lam)), m)
     return matrix

@@ -39,6 +39,11 @@ def test_projclass_hyperplane_power():
     assert c.hyperplane_power(3) == ProjClass(3, [2, 0, 0, 0])
 
 
+def test_projclass_coefficient_outside_range_is_zero():
+    c = ProjClass(2, [1, 2, 3])
+    assert [c.coefficient(l) for l in range(-1, 4)] == [0, 1, 2, 3, 0]
+
+
 def test_b_matrix_values():
     b = b_matrix(3, 3, 1)
     assert b[0][0] == 1

@@ -1,10 +1,12 @@
 from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
+from detchern import schubert
 from detchern.errors import BoxSizeError, ParameterError
 from detchern.partitions import (
     _LR_CACHE,
     binom,
+    conjugate,
     lr_expansion,
     partitions_in_box,
 )
@@ -24,7 +26,7 @@ from detchern.schubert import (
     tangent_chern,
     zero,
 )
-from detchern.schubert import _times_power_sum
+from detchern.schubert import _schur_at_ones, _times_power_sum
 
 from oracles import schur_product_in_box
 
@@ -179,6 +181,21 @@ def test_bundle_power_second_chern_of_triple_dual():
     assert out[2] == schubert_class(box, (2,)) * 6
 
 
+@pytest.mark.parametrize("rows,cols", [(r, c) for r in range(1, 6) for c in range(1, 6) if r + c <= 7])
+def test_bundle_powers_match_cauchy_closed_forms(rows, cols):
+    # with x the Chern roots of S*: c(S*^m) = prod (1 + x)^m = sum_mu s_mu'(1^m) s_mu
+    # (dual Cauchy) and c(Q*^m) = prod (1 + x)^(-m) = sum_lam (-1)^|lam| s_lam(1^m) s_lam
+    # (Cauchy); the m-round products are the independent witness
+    box = boxed(rows, cols)
+    for m in range(1, 6):
+        cs = bundle_power_chern(chern_S_dual(box), m)
+        cq = bundle_power_chern(chern_Q(box), m, dualize=True)
+        for d in range(box.dim + 1):
+            shapes = [lam for lam in partitions_in_box(rows, cols) if sum(lam) == d]
+            assert cs[d] == ChowClass(box, {mu: _schur_at_ones(conjugate(mu), m) for mu in shapes}), (m, d)
+            assert cq[d] == ChowClass(box, {lam: (-1) ** d * _schur_at_ones(lam, m) for lam in shapes}), (m, d)
+
+
 def test_tangent_chern_projective_line():
     box = boxed(1, 1)
     assert tangent_chern(box) == ChowClass(box, {(): 1, (1,): 2})
@@ -249,7 +266,10 @@ def test_a_matrix_known_values():
     assert a_matrix(4, 3, 2) == A_432
 
 
-@pytest.mark.parametrize("m,n,k", [(5, 5, 2), (6, 6, 3), (5, 4, 3), (6, 5, 2)])
+@pytest.mark.parametrize("m,n,k", [
+    (5, 5, 2), (6, 6, 3), (5, 4, 3), (6, 5, 2),
+    (7, 7, 3), (7, 7, 4), (8, 8, 3), (9, 9, 2), (9, 9, 7), (8, 5, 2),
+])
 def test_a_matrix_matches_general_product_formula(m, n, k):
     # the general LR route: integrate((c(T) * c_i(Q*^m)) * c_j(S*^m))
     box = boxed(k, n - k)
@@ -263,6 +283,29 @@ def test_a_matrix_matches_general_product_formula(m, n, k):
             if i + j < size:
                 want[i][i + j] = integrate((tangent * cq[i]) * cs[j])
     assert a_matrix(m, n, k) == want
+
+
+def test_a_matrix_takes_no_class_products(monkeypatch):
+    want = a_matrix(6, 6, 3)
+
+    def refuse(*args):
+        raise AssertionError("a_matrix multiplied or paired classes")
+
+    monkeypatch.setattr(schubert.ChowClass, "__mul__", refuse)
+    monkeypatch.setattr(schubert, "pairing", refuse)
+    schubert._row_pieri.cache_clear()
+    tangent_chern.cache_clear()
+    assert a_matrix(6, 6, 3) == want
+
+
+def test_a_matrix_looks_up_lr_expansion_on_a_cold_box(monkeypatch):
+    # the benchmark tracer records its LR spans through this module global
+    calls = []
+    real = schubert.lr_expansion
+    monkeypatch.setattr(schubert, "lr_expansion", lambda lam, mu: calls.append((lam, mu)) or real(lam, mu))
+    schubert._row_pieri.cache_clear()
+    a_matrix(4, 4, 2)
+    assert calls
 
 
 def test_a_matrix_zero_pattern():
