@@ -9,6 +9,10 @@ in the Chow group of P^(mn-1) and are stored little-endian over the basis
 [P^0], ..., [P^N]; the reversal to hyperplane-power coefficients happens in
 exactly one place (ProjClass.h_coefficients / from_h_coefficients).
 
+Main routes: cm_class and chern_fulton_hypersurface, polynomial maps in
+the hyperplane class H.  Check routes: cm_class_via_trace and b_matrix,
+the explicit binomial sums, which share no contraction code with them.
+
 ProjClass and lagrangian.BiProjClass are both dense integer tuples and
 share their linear operations through CoeffVector.  The c_SM classes of
 tau(m, n, k) and of its open stratum, and the characteristic cycles in
@@ -141,6 +145,19 @@ def strata_sum(n: int, k: int, open_stratum: bool, term, zero):
     return out
 
 
+def at_minus_one_minus_t(p) -> list[int]:
+    """Coefficients of p(-1-t) from those of p(t) (index = power, same
+    length), by Horner's rule from the highest nonzero coefficient down: a
+    class of a d-dimensional variety is zero above [P^d]."""
+    top = max((j for j, c in enumerate(p) if c), default=-1)
+    out: list[int] = []
+    for c in reversed(p[: top + 1]):
+        # out <- out (-1-t) + c
+        out = [-a - b for a, b in zip([*out, 0], [0, *out])]
+        out[0] += c
+    return out + [0] * (len(p) - len(out))
+
+
 def b_matrix(m: int, n: int, k: int) -> list[list[int]]:
     """Square binomial matrix of size m(n-k)+1 with entry (i, p) equal to
     binom(m(n-k)-p, i-p); vanishes above the diagonal (i < p)."""
@@ -154,36 +171,26 @@ _CM_CACHE: dict[tuple[int, int, int], ProjClass] = {}
 
 
 def cm_class(m: int, n: int, k: int) -> ProjClass:
-    """Chern-Mather class of tau(m, n, k) pushed to P^(mn-1).
-
-    For k >= 1 the H^l coefficient is the closed double sum
-    gamma_l = sum_i sum_{mk+j-p=l} A[i][p] * B[j][i] over the degree matrix
-    A and the binomial matrix B.  For k = 0 the variety is the ambient
-    space and the class is (1+H)^(mn) truncated.
-    """
+    """Chern-Mather class of tau(m, n, k) pushed to P^(mn-1): with
+    top = m(n-k), sum_i (1+H)^(top-i) sum_p A[i][p] H^(mk+i-p) mod H^mn,
+    by Horner's rule in (1+H) over the rows of the degree matrix A.
+    A[i][p] = 0 unless i <= p <= k(n-k) <= mk, so no exponent is negative.
+    For k = 0, G(0, n) is a point and A is 1 at (0, 0) and 0 elsewhere."""
     check_params(m, n, k, k_min=0)
     key = (m, n, k)
     hit = _CM_CACHE.get(key)
     if hit is not None:
         return hit
-    N = m * n - 1
-    if k == 0:
-        out = ProjClass(N, [binom(m * n, l + 1) for l in range(N + 1)])
-    else:
-        top = m * (n - k)
-        A = a_matrix(m, n, k)
-        gamma = [0] * (N + 1)
-        for i in range(top + 1):
-            row = A[i]
-            for p in range(top + 1):
-                a = row[p]
-                if a == 0:
-                    continue
-                for j in range(top + 1):
-                    l = m * k + j - p
-                    if 0 <= l <= N:
-                        gamma[l] += a * binom(top - i, j - i)
-        out = ProjClass.from_h_coefficients(gamma)
+    top = m * (n - k)
+    rows = a_matrix(m, n, k) if k else [(1,)] + [()] * top
+    gamma = [0] * (m * n)
+    for i, row in enumerate(rows):
+        # gamma <- gamma (1+H) + row i; zip drops the H^mn term
+        gamma = [a + b for a, b in zip(gamma, [0, *gamma])]
+        for p, a in enumerate(row):
+            if a:
+                gamma[m * k + i - p] += a
+    out = ProjClass.from_h_coefficients(gamma)
     _CM_CACHE[key] = out
     return out
 
@@ -247,18 +254,13 @@ def euler_obstruction(m: int, n: int, k: int) -> StrataVector:
 
 def chern_fulton_hypersurface(n: int) -> ProjClass:
     """Chern-Fulton class of the degree-n determinant hypersurface in
-    P^(n^2-1): nH (1+H)^(n^2) / (1+nH), the division expanded as the
-    truncated geometric series."""
+    P^(n^2-1): sum_j h_j H^j = nH (1+H)^(n^2) / (1+nH) mod H^(n^2), so
+    h_0 = 0 and h_j = n binom(n^2, j-1) - n h_(j-1)."""
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
-    N = n * n - 1
-    h = [0] * (N + 1)
-    for j in range(1, N + 1):
-        # coefficient of H^j in nH (1+H)^(n^2) sum_i (-nH)^i
-        total = 0
-        for a in range(j):
-            total += binom(n * n, a) * (-n) ** (j - 1 - a)
-        h[j] = n * total
+    h = [0]
+    for j in range(1, n * n):
+        h.append(n * binom(n * n, j - 1) - n * h[-1])
     return ProjClass.from_h_coefficients(h)
 
 

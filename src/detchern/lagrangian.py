@@ -1,10 +1,12 @@
 """Lagrangian cycles of determinantal varieties in P^N x P^N.
 
 Projectivized conormal cycles, characteristic cycles of the closed
-varieties and of their open strata, polar degrees (computed along two
-independent routes that must agree), generic Euclidean distance degrees,
-the exponent-swapping flip, and the dual-variety involution on
-Chern-Mather classes.
+varieties and of their open strata, polar degrees, generic Euclidean
+distance degrees, the exponent-swapping flip, and the dual-variety
+involution on Chern-Mather classes.  Main routes: ch_from_class and
+involution_dual substitute t -> -1-t (classes.at_minus_one_minus_t).
+Check route: polar_degrees checks the conormal coefficients against the
+explicit polar-class binomial sum over the Chern-Mather class.
 
 A BiProjClass is a classes.CoeffVector: its N coefficients are stored
 densely by descending h1 exponent (h1^N h2, ..., h1 h2^N), the order of
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classes import CoeffVector, ProjClass, cm_class, strata_sum, variety_dim
+from .classes import CoeffVector, ProjClass, at_minus_one_minus_t, cm_class, strata_sum, variety_dim
 from .errors import ConsistencyError, ParameterError, check_params
 from .partitions import binom
 
@@ -57,20 +59,12 @@ def dagger(x: BiProjClass) -> BiProjClass:
 
 def ch_from_class(c: ProjClass) -> BiProjClass:
     """Characteristic-cycle class of a constructible function from its
-    Chern class transform: with gamma_l the coefficient of [P^l], the
-    result is sum over j of sum_{l >= j-1} (-1)^l gamma_l binom(l+1, j)
-    on the monomial h1^(N+1-j) h2^j."""
+    Chern class transform G(t) = sum_l gamma_l t^l, gamma_l the coefficient
+    of [P^l] for l < N: the coefficient of t^j in (1+t) G(-1-t) goes on the
+    monomial h1^(N+1-j) h2^j, for j = 1..N."""
     N = c.ambient_dim
-    out = []
-    gamma = c.coeffs
-    for j in range(1, N + 1):
-        total = 0
-        for l in range(j - 1, N):
-            g = gamma[l]
-            if g:
-                total += (-1) ** l * g * binom(l + 1, j)
-        out.append(total)
-    return BiProjClass(N, out)
+    g = at_minus_one_minus_t(c.coeffs[:N])
+    return BiProjClass(N, [a + b for a, b in zip([*g[1:], 0], g)])
 
 
 _CON_CACHE: dict[tuple[int, int, int], BiProjClass] = {}
@@ -147,18 +141,12 @@ def involution_dual(q: tuple[int, ...]) -> tuple[int, ...]:
     An involution on polynomials without constant term (the classes of
     proper subvarieties carry no fundamental-class component)."""
     N = len(q) - 1
-    out = [0] * (N + 1)
-    for j, qj in enumerate(q):
-        if qj == 0:
-            continue
-        # (-1-t)^j = (-1)^j sum_s binom(j, s) t^s
-        sign = (-1) ** j
-        for s in range(j + 1):
-            out[s] += sign * qj * binom(j, s)
-    q_at_minus1 = sum(qj * (-1) ** j for j, qj in enumerate(q))
-    if q_at_minus1:
-        for s in range(N + 1):
-            out[s] -= q_at_minus1 * binom(N + 1, s)
+    out = at_minus_one_minus_t(q)
+    q_at_minus1 = out[0] if out else 0  # p(-1-t) at t = 0
+    c = 1  # binom(N+1, s)
+    for s in range(N + 1):
+        out[s] -= q_at_minus1 * c
+        c = c * (N + 1 - s) // (s + 1)
     return tuple(out)
 
 

@@ -126,10 +126,6 @@ def _lr_chains(lam: Partition, mu: Partition) -> dict[Partition, int]:
 def lr_expansion(lam, mu) -> dict[Partition, int]:
     """Expansion of the product of Schur functions s_lam * s_mu in the Schur
     basis: a map nu -> c^nu_{lam,mu} over the nonzero LR coefficients."""
-    if type(lam) is tuple and type(mu) is tuple:
-        hit = _LR_CACHE.get((lam, mu))
-        if hit is not None:
-            return hit
     lam = normalize(lam)
     mu = normalize(mu)
     key = (lam, mu)

@@ -3,11 +3,60 @@
 Deliberately independent of the package internals: Schur polynomials are
 expanded by enumerating semistandard tableaux, products are raw polynomial
 multiplication, and Schur expansion works by peeling lex-leading monomials.
+The polynomial maps in the hyperplane class (the Chern-Mather contraction,
+the characteristic-cycle transform and the dual-variety involution) are
+written out as the explicit binomial sums they expand to.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
+
+
+def _binom(a, b):
+    return comb(a, b) if 0 <= b <= a else 0
+
+
+def minus_one_minus_t_sum(p):
+    """Coefficients of p(-1-t), from (-1-t)^j = (-1)^j sum_s binom(j, s) t^s."""
+    out = [0] * len(p)
+    for j, pj in enumerate(p):
+        for s in range(j + 1):
+            out[s] += (-1) ** j * pj * _binom(j, s)
+    return out
+
+
+def cm_triple_sum(A, m, n, k):
+    """H-power coefficients of the Chern-Mather class of tau(m, n, k), k >= 1,
+    from its degree matrix A: gamma_l = sum over mk+j-p = l of
+    A[i][p] binom(top-i, j-i), with top = m(n-k) and l = 0..mn-1."""
+    N = m * n - 1
+    top = m * (n - k)
+    gamma = [0] * (N + 1)
+    for i in range(top + 1):
+        for p in range(top + 1):
+            for j in range(top + 1):
+                l = m * k + j - p
+                if 0 <= l <= N:
+                    gamma[l] += A[i][p] * _binom(top - i, j - i)
+    return gamma
+
+
+def ch_sum(gamma):
+    """Characteristic-cycle coefficients, by descending h1 exponent, of the
+    class with coefficients gamma over [P^0], ..., [P^N]: the monomial
+    h1^(N+1-j) h2^j carries sum_{l=j-1}^{N-1} (-1)^l gamma_l binom(l+1, j)."""
+    N = len(gamma) - 1
+    return [sum((-1) ** l * gamma[l] * _binom(l + 1, j) for l in range(j - 1, N))
+            for j in range(1, N + 1)]
+
+
+def involution_sum(q):
+    """p(t) -> p(-1-t) - p(-1)((1+t)^(N+1) - t^(N+1)), N = len(q) - 1."""
+    N = len(q) - 1
+    at_minus1 = sum((-1) ** j * qj for j, qj in enumerate(q))
+    return [c - at_minus1 * _binom(N + 1, s) for s, c in enumerate(minus_one_minus_t_sum(q))]
 
 
 def semistandard_fillings(shape, nvars):

@@ -7,6 +7,7 @@ from detchern import tables
 from detchern.classes import (
     ProjClass,
     StrataVector,
+    at_minus_one_minus_t,
     b_matrix,
     chern_fulton_hypersurface,
     cm_class,
@@ -19,6 +20,12 @@ from detchern.classes import (
 )
 from detchern.errors import ParameterError
 from detchern.partitions import binom
+from detchern.schubert import a_matrix
+
+from oracles import cm_triple_sum, minus_one_minus_t_sum
+
+# long thin boxes: many Horner rounds (m(n-k) + 1, up to 51) over a Grassmannian of <= 6 cells
+THIN_MN = [(12, 2), (20, 2), (16, 3), (12, 4), (10, 5)]
 
 
 def all_mnk(pairs, k_min=1):
@@ -92,7 +99,7 @@ def closed_form_degree(m, n, k):
 
 
 @pytest.mark.parametrize("m,n,k", [(m, n, k) for m in range(2, 8) for n in range(2, m + 1)
-                                   for k in range(n)])
+                                   for k in range(n)] + list(all_mnk(THIN_MN, k_min=0)))
 def test_closed_form_oracles(m, n, k):
     # [P^0] of a c_SM class is the Euler characteristic.  The torus scaling
     # rows and columns fixes exactly the mn matrix units, all of rank one:
@@ -175,10 +182,26 @@ def test_binomial_inverse_lemma(n):
 
 @pytest.mark.parametrize(
     "m,n", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (3, 3), (4, 3), (5, 3), (4, 4)]
+    + THIN_MN
 )
 def test_trace_formula_matches_closed_sum(m, n):
     for k in range(1, n):
         assert cm_class_via_trace(m, n, k) == cm_class(m, n, k)
+
+
+@pytest.mark.parametrize("m,n,k", [(7, 7, 3), (7, 7, 4), (8, 8, 3), (9, 9, 2), (9, 9, 7), (8, 2, 1),
+                                   (9, 8, 7)])
+def test_cm_horner_matches_triple_sum(m, n, k):
+    gamma = cm_triple_sum(a_matrix(m, n, k), m, n, k)
+    assert cm_class(m, n, k) == ProjClass.from_h_coefficients(gamma)
+
+
+@given(st.lists(st.integers(-50, 50), max_size=25))
+@settings(max_examples=80, deadline=None)
+def test_minus_one_minus_t_matches_expansion(p):
+    got = at_minus_one_minus_t(p)
+    assert got == minus_one_minus_t_sum(p)
+    assert at_minus_one_minus_t(got) == p
 
 
 def test_euler_obstruction_values():

@@ -20,6 +20,8 @@ from detchern.lagrangian import (
     symmetry_check,
 )
 
+from oracles import ch_sum, involution_sum
+
 
 def pairs_mn(max_product=25):
     return [(m, n) for n in range(2, 6) for m in range(n, 13) if m * n <= max_product]
@@ -155,6 +157,14 @@ def test_involution_dual_is_involution(q):
     # (no fundamental-class component), like every Chern-Mather class here
     q = (0, *q)
     assert involution_dual(involution_dual(q)) == q
+
+
+@given(st.lists(st.integers(-50, 50), max_size=25))
+@settings(max_examples=80, deadline=None)
+def test_horner_maps_match_binomial_sums(q):
+    assert list(involution_dual(tuple(q))) == involution_sum(q)
+    if q:
+        assert list(ch_from_class(ProjClass(len(q) - 1, q)).coeffs) == ch_sum(q)
 
 
 def test_dual_cm_reference_pair():
