@@ -22,6 +22,7 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from math import factorial, prod
 
 from . import tables
 from .classes import (
@@ -306,9 +307,38 @@ def _require(condition: bool, message: str) -> None:
         raise ParameterError(message)
 
 
+def _porteous_degree(m: int, n: int, k: int) -> int:
+    """Degree of tau(m, n, k) by the Giambelli-Thom-Porteous formula,
+    prod_{i<k} i! (m+i)! / ((n-k+i)! (m-n+k+i)!)."""
+    num = prod(factorial(i) * factorial(m + i) for i in range(k))
+    den = prod(factorial(n - k + i) * factorial(m - n + k + i) for i in range(k))
+    return num // den
+
+
+def _check_closed_forms(m: int, n: int, k: int) -> None:
+    """Closed forms that share no code with the Schubert engine: every class
+    of tau(m, n, k) has the Porteous degree at [P^dim], and a c_SM class has
+    the Euler characteristic at [P^0].  The torus scaling rows and columns
+    fixes only the mn matrix units, all of rank one, so that is mn for the
+    closed variety, and for the open stratum mn when k = n-1, 0 otherwise."""
+    d, degree = variety_dim(m, n, k), _porteous_degree(m, n, k)
+    euler = {"csm": m * n, "csm_open": m * n if k == n - 1 else 0}
+    for name, cls in (("cm", cm_class(m, n, k)), ("csm", csm_class(m, n, k)), ("csm_open", csm_open(m, n, k))):
+        if cls.coefficient(d) != degree:
+            raise ConsistencyError(
+                f"{name} of ({m},{n},{k}) has {cls.coefficient(d)} at [P^{d}], not the degree {degree}"
+            )
+        if name in euler and cls.coefficient(0) != euler[name]:
+            raise ConsistencyError(
+                f"{name} of ({m},{n},{k}) has {cls.coefficient(0)} at [P^0], "
+                f"not the Euler characteristic {euler[name]}"
+            )
+
+
 def _run_checks(kind: str, m: int, n: int, k: int) -> None:
     """Cross-route assertions behind --check."""
     if kind in {"cm", "csm", "csm_open"}:
+        _check_closed_forms(m, n, k)
         for kk in range(max(k, 1), n):
             if cm_class_via_trace(m, n, kk) != cm_class(m, n, kk):
                 raise ConsistencyError(f"trace route disagrees at ({m},{n},{kk})")

@@ -9,8 +9,9 @@ strips, a single one (the Pieri rule) for a row or column class.  On top of
 the ring the module provides the Chern classes of the universal bundles,
 Chern classes of their m-fold (dualized) direct sums, the total Chern class
 of the tangent bundle from its power sums (Murnaghan-Nakayama rule and
-Newton's identities, no LR products; computed once per box), the degree
-map, the Poincare-duality pairing, and the matrix of degrees of
+Newton's identities, no LR products; computed once per box; the terms t
+and i-t of p_i(T) cancel for odd i, leaving n p_i(x), and coincide for even
+i), the degree map, the Poincare-duality pairing, and the matrix of degrees of
 tangent-twisted products of those Chern classes that drives the
 characteristic-class formulas downstream.  That matrix takes no products
 of classes: its rows are m rounds of Pieri steps on c(T_G) through a
@@ -236,11 +237,15 @@ def bundle_power_chern(chern: list[ChowClass], m: int, dualize: bool = False) ->
 # --- tangent bundle from power sums ----------------------------------------
 #
 # With x the Chern roots of S* and y those of Q, T_G = S* (x) Q has roots
-# x_i + y_j, so its power sums are p_j(T) = sum_t C(j,t) p_t(x) p_(j-t)(y)
+# x_a + y_b, so its power sums are p_i(T) = sum_t C(i,t) p_t(x) p_(i-t)(y)
 # with p_0(x) = rows and p_0(y) = cols.  Since c(S)c(Q) = 1, p_r(y) equals
-# (-1)^(r-1) p_r(x), so every term is a product of power sums of x, which
-# act on the Schubert basis s_lam = s_lam(x) by the Murnaghan-Nakayama
-# rule.  Newton's identities then turn p(T) into c(T).
+# (-1)^(r-1) p_r(x), so for 0 < t < i the terms t and i-t carry the signs
+# (-1)^(i-t-1) and (-1)^(t-1): they cancel for odd i and agree for even i.
+# Writing p_r for p_r(x), that leaves p_i(T) = (rows+cols) p_i for odd i and
+#   p_i(T) = (cols-rows) p_i + sum_{0<t<i/2} 2 C(i,t) (-1)^(t-1) p_t p_(i-t)
+#            + C(i,i/2) (-1)^(i/2-1) p_(i/2)^2
+# for even i.  Each p_r acts on the Schubert basis s_lam = s_lam(x) by the
+# Murnaghan-Nakayama rule, and Newton's identities turn p(T) into c(T).
 
 
 def _times_power_sum(box: Box, terms: dict[Partition, int], r: int) -> dict[Partition, int]:
@@ -264,45 +269,48 @@ def _times_power_sum(box: Box, terms: dict[Partition, int], r: int) -> dict[Part
     return {nu: c for nu, c in out.items() if c}
 
 
-def _times_tangent_power_sum(box: Box, terms: dict[Partition, int], j: int) -> dict[Partition, int]:
-    """Product of sum c_lam s_lam with p_j(T_G) = sum_t C(j,t) p_t(x) p_(j-t)(y)."""
-    out: dict[Partition, int] = {}
-    for t in range(j + 1):
-        piece, scale = terms, comb(j, t)
-        if t:
-            piece = _times_power_sum(box, piece, t)
-        else:
-            scale *= box.rows
-        if t < j:
-            piece = _times_power_sum(box, piece, j - t)
-            scale *= (-1) ** (j - t - 1)
-        else:
-            scale *= box.cols
-        for nu, c in piece.items():
-            out[nu] = out.get(nu, 0) + scale * c
-    return out
-
-
 @lru_cache(maxsize=None)
 def tangent_chern(box: Box) -> ChowClass:
     """Total Chern class of the tangent bundle of G(k, n), reduced into the
     Schubert basis through Newton's identities
-    j c_j(T) = sum_i (-1)^(i-1) c_(j-i)(T) p_i(T).  Computed once per box."""
-    chern: list[dict[Partition, int]] = [{(): 1}]
-    for j in range(1, box.dim + 1):
-        acc: dict[Partition, int] = {}
-        for i in range(1, j + 1):
-            for nu, c in _times_tangent_power_sum(box, chern[j - i], i).items():
-                acc[nu] = acc.get(nu, 0) + (-1) ** (i - 1) * c
+    j c_j(T) = sum_i (-1)^(i-1) c_(j-i)(T) p_i(T), run forward: each finished
+    c_d adds (-1)^(i-1) c_d p_i(T) to j c_j(T) at j = d+i, from products
+    c_d p_t shared by every i.  Each s_lam p_r takes one rim-hook pass per
+    call, and the class is computed once per box."""
+    memo: dict[tuple[Partition, int], dict[Partition, int]] = {}
+
+    def times(terms: dict[Partition, int], r: int, scale: int, out: dict[Partition, int]) -> dict[Partition, int]:
+        """out += scale * terms * p_r(x); returns out."""
+        for lam, c in terms.items():
+            hit = memo.get((lam, r))
+            if hit is None:
+                hit = memo[lam, r] = _times_power_sum(box, {lam: 1}, r)
+            for nu, b in hit.items():
+                out[nu] = out.get(nu, 0) + scale * c * b
+        return out
+
+    rows, cols, dim = box.rows, box.cols, box.dim
+    sums: list[dict[Partition, int]] = [{(): 1}] + [{} for _ in range(dim)]  # j c_j(T) at index j
+    chern: dict[Partition, int] = {}
+    for d, acc in enumerate(sums):
         piece: dict[Partition, int] = {}
         for nu, c in acc.items():
-            q, rem = divmod(c, j)
+            q, rem = divmod(c, max(d, 1))
             if rem:
-                raise ConsistencyError(f"c_{j}(T) of box {box.rows}x{box.cols} is not integral at {nu}")
+                raise ConsistencyError(f"c_{d}(T) of box {rows}x{cols} is not integral at {nu}")
             if q:
                 piece[nu] = q
-        chern.append(piece)
-    return ChowClass(box, {nu: c for piece in chern for nu, c in piece.items()})
+        chern.update(piece)
+        by_t = [piece] + [times(piece, t, 1, {}) for t in range(1, dim - d + 1)]  # c_d p_t
+        for i in range(1, dim - d + 1):  # add c_d (-1)^(i-1) p_i(T), by the parity of i
+            out = sums[d + i]
+            scale = rows + cols if i & 1 else rows - cols
+            for nu, c in by_t[i].items():
+                out[nu] = out.get(nu, 0) + scale * c
+            if not i & 1:
+                for t in range(1, i // 2 + 1):
+                    times(by_t[t], i - t, (1 if 2 * t == i else 2) * comb(i, t) * (-1) ** t, out)
+    return ChowClass(box, chern)
 
 
 @lru_cache(maxsize=None)
@@ -348,9 +356,10 @@ def a_matrix(m: int, n: int, k: int) -> list[list[int]]:
             for e, nu in pieri[lam]:
                 grown[i + e, nu] = grown.get((i + e, nu), 0) + (-c if e & 1 else c)
         terms = grown
+    weight = {lam: _schur_at_ones(conjugate(box.complement(lam)), m) for lam in pieri}
     matrix = [[0] * (top + 1) for _ in range(top + 1)]
     for (i, lam), c in terms.items():
         p = i + box.dim - sum(lam)
         if c and p <= top:
-            matrix[i][p] += c * _schur_at_ones(conjugate(box.complement(lam)), m)
+            matrix[i][p] += c * weight[lam]
     return matrix

@@ -5,13 +5,20 @@ expanded by enumerating semistandard tableaux, products are raw polynomial
 multiplication, and Schur expansion works by peeling lex-leading monomials.
 The polynomial maps in the hyperplane class (the Chern-Mather contraction,
 the characteristic-cycle transform and the dual-variety involution) are
-written out as the explicit binomial sums they expand to.
+written out as the explicit binomial sums they expand to.  The total Chern
+class of the tangent bundle of G(k, n) comes from Atiyah-Bott localization
+over the torus fixed points, with no Schubert-ring code at all; the former
+power-sum route, which summed every term of p_i(T), is kept beside it as a
+regression fence for the rewrite and is the one oracle that calls into the
+package (its rim-hook kernel).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import combinations
+from math import comb, prod
 
 
 def _binom(a, b):
@@ -145,3 +152,103 @@ def schur_product_in_box(lam, mu, rows, cols):
     prod = poly_mul(schur_polynomial(tuple(lam), rows), schur_polynomial(tuple(mu), rows))
     full = schur_expand(prod, rows)
     return {nu: c for nu, c in full.items() if not nu or nu[0] <= cols}
+
+
+def _box_partitions(rows, cols):
+    """Every partition in the rows x cols box, trailing zeros stripped."""
+    def build(prefix, cap):
+        yield tuple(prefix)
+        if len(prefix) < rows:
+            for p in range(min(cap, cols), 0, -1):
+                yield from build(prefix + [p], p)
+    return list(build([], cols))
+
+
+def _elementary(weights):
+    """[e_0, e_1, ...] of a list of integers."""
+    e = [1]
+    for w in weights:
+        e = [a + w * b for a, b in zip(e + [0], [0] + e)]
+    return e
+
+
+def _det(matrix):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; 1 for the empty matrix."""
+    a = [list(row) for row in matrix]
+    size, sign, prev = len(a), 1, 1
+    for k in range(size - 1):
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, size) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if size else 1
+
+
+def tangent_chern_localized(rows, cols):
+    """Schubert coefficients of c(T) on G(rows, rows+cols) by Atiyah-Bott
+    localization.  With torus weights t = 0..n-1, the fixed point I (a
+    rows-subset) has T-weights t_j - t_i (i in I, j not in I) and Q-weights
+    t_j (j not in I).  The coefficient of s_lam is the degree of
+    c_|lam|(T) s_mu, mu the complement of lam, i.e.
+    sum_I e_|lam|(T-weights) det(e_(mu_a+b-a)(Q-weights)) / prod (t_j - t_i),
+    the determinant being Giambelli's formula for s_mu."""
+    n = rows + cols
+    points = []
+    for fixed in combinations(range(n), rows):
+        rest = [j for j in range(n) if j not in fixed]
+        tangent = [j - i for i in fixed for j in rest]
+        points.append((_elementary(tangent), _elementary(rest), prod(tangent)))
+    out = {}
+    for lam in _box_partitions(rows, cols):
+        padded = list(lam) + [0] * (rows - len(lam))
+        mu = [cols - p for p in reversed(padded) if p < cols]
+        total = Fraction(0)
+        for e_tangent, e_quot, euler in points:
+            giambelli = _det([[e_quot[mu[a] + b - a] if 0 <= mu[a] + b - a < len(e_quot) else 0
+                               for b in range(len(mu))] for a in range(len(mu))])
+            total += Fraction(e_tangent[sum(lam)] * giambelli, euler)
+        assert total.denominator == 1, (rows, cols, lam)
+        if total:
+            out[lam] = int(total)
+    return out
+
+
+def tangent_chern_all_terms(box):
+    """The former power-sum route for c(T): every term t = 0..j of
+    p_j(T) = sum_t C(j,t) p_t(x) p_(j-t)(y), two rim-hook passes each, and
+    Newton's identities j c_j = sum_i (-1)^(i-1) c_(j-i) p_i(T) summed
+    backwards for each j."""
+    from detchern.schubert import _times_power_sum
+
+    def times_tangent_power_sum(terms, j):
+        out = {}
+        for t in range(j + 1):
+            piece, scale = terms, comb(j, t)
+            if t:
+                piece = _times_power_sum(box, piece, t)
+            else:
+                scale *= box.rows
+            if t < j:
+                piece = _times_power_sum(box, piece, j - t)
+                scale *= (-1) ** (j - t - 1)
+            else:
+                scale *= box.cols
+            for nu, c in piece.items():
+                out[nu] = out.get(nu, 0) + scale * c
+        return out
+
+    chern = [{(): 1}]
+    for j in range(1, box.dim + 1):
+        acc = {}
+        for i in range(1, j + 1):
+            for nu, c in times_tangent_power_sum(chern[j - i], i).items():
+                acc[nu] = acc.get(nu, 0) + (-1) ** (i - 1) * c
+        assert all(c % j == 0 for c in acc.values()), (box, j)
+        chern.append({nu: c // j for nu, c in acc.items() if c})
+    return {nu: c for piece in chern for nu, c in piece.items()}

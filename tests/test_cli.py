@@ -138,6 +138,45 @@ def test_check_flag_reports_trace_failure(capsys, monkeypatch):
     assert "consistency failure" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["cm", "csm", "csm_open"])
+@pytest.mark.parametrize("m,n,k", [(4, 4, 0), (4, 4, 2), (5, 3, 2), (6, 4, 1)])
+def test_check_flag_closed_forms_leave_stdout_unchanged(capsys, kind, m, n, k):
+    plain = invoke(capsys, kind, "-m", str(m), "-n", str(n), "-k", str(k))
+    checked = invoke(capsys, kind, "-m", str(m), "-n", str(n), "-k", str(k), "--check")
+    assert plain[0] == checked[0] == 0
+    assert plain[1] == checked[1]
+
+
+def forge_cm_entry(tmp_path, key, index, delta):
+    m, n, k = key
+    coeffs = list(classes.cm_class(m, n, k).coeffs)
+    coeffs[index] += delta
+    payload = {"version": CACHE_VERSION, "cm": {",".join(map(str, key)): [str(c) for c in coeffs]}}
+    (tmp_path / "cm.json").write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("kind", ["cm", "csm", "csm_open"])
+def test_check_flag_rejects_forged_degree(capsys, tmp_path, monkeypatch, kind):
+    # tau(4, 4, 2) has dimension 11 and Porteous degree 20; the forged entry
+    # passes the load-time shape check, so only --check can catch it
+    forge_cm_entry(tmp_path, (4, 4, 2), 11, 1)
+    monkeypatch.setattr(classes, "_CM_CACHE", {})
+    assert invoke(capsys, kind, "-m", "4", "-n", "4", "-k", "2", "--cache-dir", str(tmp_path))[0] == 0
+    monkeypatch.setattr(classes, "_CM_CACHE", {})
+    code, out, err = invoke(capsys, kind, "-m", "4", "-n", "4", "-k", "2", "--check", "--cache-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert "not the degree 20" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind,k", [("csm", 2), ("csm_open", 3)])
+def test_check_flag_rejects_forged_euler_characteristic(capsys, tmp_path, monkeypatch, kind, k):
+    forge_cm_entry(tmp_path, (4, 4, 3), 0, 1)
+    monkeypatch.setattr(classes, "_CM_CACHE", {})
+    code, out, err = invoke(capsys, kind, "-m", "4", "-n", "4", "-k", str(k), "--check", "--cache-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert "not the Euler characteristic 16" in err
+
+
 def test_symmetry_report(capsys):
     code, out, _ = invoke(capsys, "symmetry", "-m", "4", "-n", "4")
     assert code == 0

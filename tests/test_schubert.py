@@ -1,3 +1,8 @@
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
@@ -28,7 +33,7 @@ from detchern.schubert import (
 )
 from detchern.schubert import _schur_at_ones, _times_power_sum
 
-from oracles import schur_product_in_box
+from oracles import schur_product_in_box, tangent_chern_all_terms, tangent_chern_localized
 
 
 def boxed(rows, cols):
@@ -240,6 +245,50 @@ def test_power_sum_rim_hook_rule_matches_lr(data, r):
 def test_tangent_chern_euler_characteristic(n):
     for k in range(1, n):
         assert integrate(tangent_chern(boxed(k, n - k))) == binom(n, k)
+
+
+def boxes_up_to(cells):
+    return [(r, c) for r in range(1, cells + 1) for c in range(1, cells // r + 1)]
+
+
+def test_tangent_chern_matches_localization():
+    # Atiyah-Bott over the torus fixed points: no Schubert-ring code involved
+    for rows, cols in boxes_up_to(12):
+        assert tangent_chern(boxed(rows, cols)).terms == tangent_chern_localized(rows, cols), (rows, cols)
+
+
+def test_localization_oracle_does_not_import_the_schubert_engine():
+    script = ("import sys; from oracles import tangent_chern_localized; "
+              "assert tangent_chern_localized(2, 3)[(3, 3)] == 10; "
+              "assert 'detchern.schubert' not in sys.modules, sorted(sys.modules)")
+    tests_dir = Path(__file__).resolve().parent
+    done = subprocess.run([sys.executable, "-c", script], cwd=tests_dir, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_tangent_chern_matches_all_terms_route():
+    # the former route summed every term t = 0..i of p_i(T) with two
+    # rim-hook passes each; the parity-collapsed sums must agree with it
+    for rows, cols in boxes_up_to(16):
+        box = boxed(rows, cols)
+        assert tangent_chern(box).terms == tangent_chern_all_terms(box), (rows, cols)
+
+
+def test_tangent_chern_takes_one_rim_hook_pass_per_shape_and_power(monkeypatch):
+    calls = Counter()
+    real = schubert._times_power_sum
+
+    def counting(box, terms, r):
+        calls.update((lam, r) for lam in terms)
+        return real(box, terms, r)
+
+    monkeypatch.setattr(schubert, "_times_power_sum", counting)
+    tangent_chern.cache_clear()
+    try:
+        assert integrate(tangent_chern(boxed(4, 4))) == binom(8, 4)
+    finally:
+        tangent_chern.cache_clear()
+    assert calls and max(calls.values()) == 1
 
 
 A_331 = [
