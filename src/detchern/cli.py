@@ -22,6 +22,7 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import zip_longest
 from math import factorial, prod
 
 from . import tables
@@ -193,11 +194,11 @@ def reproduce_reference_tables(fixtures=None) -> TableReport:
         actual = KINDS[kind][1](m, n, k)
         if isinstance(expected, (int, str)):
             cells = [(0, int(expected), actual)]
-        elif expected and isinstance(expected[0], tuple):
-            cells = [((i, j), e, a) for i, (erow, arow) in enumerate(zip(expected, actual))
-                     for j, (e, a) in enumerate(zip(erow, arow))]
+        elif expected and isinstance(expected[0], tuple):  # a missing cell reads None
+            cells = [((i, j), e, a) for i, (erow, arow) in enumerate(zip_longest(expected, actual, fillvalue=()))
+                     for j, (e, a) in enumerate(zip_longest(erow, arow))]
         else:
-            cells = [(i, e, a) for i, (e, a) in enumerate(zip(expected, actual))]
+            cells = [(i, e, a) for i, (e, a) in enumerate(zip_longest(expected, actual))]
         report.cells_checked += len(cells)
         report.mismatches += [(kind, key, idx, str(e), str(a)) for idx, e, a in cells if e != a]
     return report

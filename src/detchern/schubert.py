@@ -14,10 +14,10 @@ and i-t of p_i(T) cancel for odd i, leaving n p_i(x), and coincide for even
 i), the degree map, the Poincare-duality pairing, and the matrix of degrees of
 tangent-twisted products of those Chern classes that drives the
 characteristic-class formulas downstream.  That matrix takes no products
-of classes: its rows are m rounds of Pieri steps on c(T_G) through a
-per-box table, its columns c(S*^m) are closed by the dual Cauchy identity
-and the hook-content formula, and Poincare duality reads each entry off the
-complement of a row's partition.
+of classes: its rows come from c(T_G) in one pass of Miller's recurrence
+for c(Q*)^m, with Pieri steps read from a per-box table; its columns c(S*^m)
+are closed by the dual Cauchy identity and the hook-content formula, and
+Poincare duality reads each entry off the complement of a row's partition.
 
 Everything is a pure function of immutable values; the module-level
 caches (LR expansions in partitions, tangent classes and Pieri tables per
@@ -269,6 +269,14 @@ def _times_power_sum(box: Box, terms: dict[Partition, int], r: int) -> dict[Part
     return {nu: c for nu, c in out.items() if c}
 
 
+def _divide_exactly(terms: dict[Partition, int], d: int, name: str) -> dict[Partition, int]:
+    """terms / max(d, 1), zero terms dropped; a remainder raises ConsistencyError naming the class."""
+    for nu, c in terms.items():
+        if c % max(d, 1):
+            raise ConsistencyError(f"{name} is not integral at {nu}")
+    return {nu: c // max(d, 1) for nu, c in terms.items() if c}
+
+
 @lru_cache(maxsize=None)
 def tangent_chern(box: Box) -> ChowClass:
     """Total Chern class of the tangent bundle of G(k, n), reduced into the
@@ -293,13 +301,7 @@ def tangent_chern(box: Box) -> ChowClass:
     sums: list[dict[Partition, int]] = [{(): 1}] + [{} for _ in range(dim)]  # j c_j(T) at index j
     chern: dict[Partition, int] = {}
     for d, acc in enumerate(sums):
-        piece: dict[Partition, int] = {}
-        for nu, c in acc.items():
-            q, rem = divmod(c, max(d, 1))
-            if rem:
-                raise ConsistencyError(f"c_{d}(T) of box {rows}x{cols} is not integral at {nu}")
-            if q:
-                piece[nu] = q
+        piece = _divide_exactly(acc, d, f"c_{d}(T) of box {rows}x{cols}")
         chern.update(piece)
         by_t = [piece] + [times(piece, t, 1, {}) for t in range(1, dim - d + 1)]  # c_d p_t
         for i in range(1, dim - d + 1):  # add c_d (-1)^(i-1) p_i(T), by the parity of i
@@ -340,26 +342,23 @@ def a_matrix(m: int, n: int, k: int) -> list[list[int]]:
     """Square integer matrix of size m(n-k)+1 whose (i, p) entry is the
     degree of c(T_G) c_i(Q*^m) c_(p-i)(S*^m) on G(k, n); zero for i > p.
 
-    Rows: m rounds from c(T_G) at Q*-degree 0, each adding (-1)^e c s_nu at
-    degree i+e for every term c s_lam at degree i and Pieri term (e, nu) of
-    lam.  Columns: c_j(S*^m) = sum_{|mu|=j} s_mu'(1^m) s_mu (dual Cauchy), so
-    a row term c s_lam adds c s_mu'(1^m) at p = i + |mu|, mu its complement.
+    Rows: R_i = c(T_G) c_i(Q*^m) by Miller's recurrence for a power, i R_i =
+    sum_e ((m+1)e - i) c_e(Q*) R_(i-e), run forward from R_0 = c(T_G): a term
+    c s_lam of a finished R_j adds (me - j)(-1)^e c s_nu to i R_i, i = j+e, per
+    Pieri term (e, nu) of lam.  Columns: c_j(S*^m) = sum_{|mu|=j} s_mu'(1^m) s_mu
+    (dual Cauchy), so c s_lam in R_i adds c s_mu'(1^m) at p = i + |mu|, mu its complement.
     """
     check_params(m, n, k)
     box = Box(k, n - k)
-    top = m * (n - k)
+    dim, top = box.dim, m * (n - k)
     pieri = _row_pieri(box)
-    terms = {(0, lam): c for lam, c in tangent_chern(box).terms.items()}
-    for _ in range(m):
-        grown = dict(terms)
-        for (i, lam), c in terms.items():
-            for e, nu in pieri[lam]:
-                grown[i + e, nu] = grown.get((i + e, nu), 0) + (-c if e & 1 else c)
-        terms = grown
     weight = {lam: _schur_at_ones(conjugate(box.complement(lam)), m) for lam in pieri}
+    sums = [tangent_chern(box).terms] + [{} for _ in range(dim)]  # j R_j at index j
     matrix = [[0] * (top + 1) for _ in range(top + 1)]
-    for (i, lam), c in terms.items():
-        p = i + box.dim - sum(lam)
-        if c and p <= top:
-            matrix[i][p] += c * weight[lam]
+    for j, acc in enumerate(sums):
+        for lam, c in _divide_exactly(acc, j, f"c(T) c_{j}(Q*^{m}) of box {k}x{n - k}").items():
+            matrix[j][j + dim - sum(lam)] += c * weight[lam]
+            for e, nu in pieri[lam]:
+                out = sums[j + e]
+                out[nu] = out.get(nu, 0) + (m * e - j) * (-c if e & 1 else c)
     return matrix

@@ -6,11 +6,11 @@ multiplication, and Schur expansion works by peeling lex-leading monomials.
 The polynomial maps in the hyperplane class (the Chern-Mather contraction,
 the characteristic-cycle transform and the dual-variety involution) are
 written out as the explicit binomial sums they expand to.  The total Chern
-class of the tangent bundle of G(k, n) comes from Atiyah-Bott localization
-over the torus fixed points, with no Schubert-ring code at all; the former
-power-sum route, which summed every term of p_i(T), is kept beside it as a
-regression fence for the rewrite and is the one oracle that calls into the
-package (its rim-hook kernel).
+class of the tangent bundle of G(k, n) and the degree matrix A come from
+Atiyah-Bott localization over the torus fixed points, with no Schubert-ring
+code at all; the former power-sum route for c(T), which summed every term
+of p_i(T), is kept beside it as a regression fence for the rewrite and is
+the one oracle that calls into the package (its rim-hook kernel).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, prod
+from math import comb, lcm, prod
 
 
 def _binom(a, b):
@@ -217,6 +217,32 @@ def tangent_chern_localized(rows, cols):
         if total:
             out[lam] = int(total)
     return out
+
+
+def a_matrix_localized(m, n, k):
+    """The degree matrix A of size m(n-k)+1, A[i][p] = the degree of
+    c_(dim-p)(T) c_i(Q*^m) c_(p-i)(S*^m) on G(k, n), dim = k(n-k), by
+    Atiyah-Bott localization.  With torus weights t = 0..n-1, the fixed
+    point I (a k-subset) has T-weights t_j - t_i (i in I, j not in I),
+    Q*^m-weights -t_j and S*^m-weights -t_i, each m times.  Each point's
+    term is scaled by L / e(I), L the lcm of the Euler classes
+    e(I) = prod (t_j - t_i), and the sum must divide by L exactly."""
+    dim, top = k * (n - k), m * (n - k)
+    points = []
+    for fixed in combinations(range(n), k):
+        rest = [j for j in range(n) if j not in fixed]
+        tangent = [j - i for i in fixed for j in rest]
+        points.append((_elementary(tangent), _elementary([-j for j in rest] * m),
+                       _elementary([-i for i in fixed] * m), prod(tangent)))
+    scale = lcm(*(euler for *_, euler in points))
+    matrix = [[0] * (top + 1) for _ in range(top + 1)]
+    for i in range(dim + 1):
+        for p in range(i, dim + 1):
+            total = sum(e_tangent[dim - p] * e_quot[i] * e_sub[p - i] * (scale // euler)
+                        for e_tangent, e_quot, e_sub, euler in points)
+            matrix[i][p], rem = divmod(total, scale)
+            assert not rem, (m, n, k, i, p)
+    return matrix
 
 
 def tangent_chern_all_terms(box):

@@ -106,6 +106,9 @@ def test_closed_form_oracles(m, n, k):
     # they lie in every tau(m, n, k), and in the open stratum iff k = n-1
     assert csm_class(m, n, k).coefficient(0) == m * n
     assert csm_open(m, n, k).coefficient(0) == (m * n if k == n - 1 else 0)
+    # the same mn points lie in the rank-one stratum, whose Euler obstruction
+    # in tau(m, n, k) is C(n-1, k)
+    assert cm_class(m, n, k).coefficient(0) == m * n * binom(n - 1, k)
     d = variety_dim(m, n, k)
     assert cm_class(m, n, k).coefficient(d) == closed_form_degree(m, n, k)
     assert csm_class(m, n, k).coefficient(d) == closed_form_degree(m, n, k)

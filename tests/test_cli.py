@@ -250,6 +250,25 @@ def test_reproduce_tables_flags_corrupted_fixture():
     assert all(item[0] == kind and item[1] == key for item in report.mismatches)
 
 
+@pytest.mark.parametrize("cm_cells,a_rows", [(4, 2), (-1, -1)])
+def test_reproduce_tables_flags_a_short_fixture(cm_cells, a_rows):
+    # a fixture with fewer cells or rows than the computed value must not
+    # pass by comparing only the cells the two have in common
+    fixtures = {(kind, key): value for kind, key, value in default_fixtures()}
+    short = [("cm", (3, 3, 1), fixtures["cm", (3, 3, 1)][:cm_cells]),
+             ("amatrix", (3, 3, 1), fixtures["amatrix", (3, 3, 1)][:a_rows])]
+    report = reproduce_reference_tables(short)
+    assert not report.ok
+    assert {item[0] for item in report.mismatches} == {"cm", "amatrix"}
+    assert report.cells_checked == 9 + 7 * 7
+
+
+def test_reproduce_tables_flags_a_long_fixture():
+    kind, key, row = next(f for f in default_fixtures() if f[0] == "cm")
+    report = reproduce_reference_tables([(kind, key, row + (0,))])
+    assert report.mismatches == [(kind, key, len(row), "0", "None")]
+
+
 def test_reproduce_tables_empty_fixture_set():
     report = reproduce_reference_tables([])
     assert report.ok and report.cells_checked == 0

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
 from detchern import schubert
-from detchern.errors import BoxSizeError, ParameterError
+from detchern.errors import BoxSizeError, ConsistencyError, ParameterError
 from detchern.partitions import (
     _LR_CACHE,
     binom,
@@ -31,9 +31,9 @@ from detchern.schubert import (
     tangent_chern,
     zero,
 )
-from detchern.schubert import _schur_at_ones, _times_power_sum
+from detchern.schubert import _divide_exactly, _schur_at_ones, _times_power_sum
 
-from oracles import schur_product_in_box, tangent_chern_all_terms, tangent_chern_localized
+from oracles import a_matrix_localized, schur_product_in_box, tangent_chern_all_terms, tangent_chern_localized
 
 
 def boxed(rows, cols):
@@ -258,8 +258,9 @@ def test_tangent_chern_matches_localization():
 
 
 def test_localization_oracle_does_not_import_the_schubert_engine():
-    script = ("import sys; from oracles import tangent_chern_localized; "
+    script = ("import sys; from oracles import a_matrix_localized, tangent_chern_localized; "
               "assert tangent_chern_localized(2, 3)[(3, 3)] == 10; "
+              "assert a_matrix_localized(3, 3, 1)[0] == [3, 9, 3, 0, 0, 0, 0]; "
               "assert 'detchern.schubert' not in sys.modules, sorted(sys.modules)")
     tests_dir = Path(__file__).resolve().parent
     done = subprocess.run([sys.executable, "-c", script], cwd=tests_dir, capture_output=True, text=True)
@@ -332,6 +333,22 @@ def test_a_matrix_matches_general_product_formula(m, n, k):
             if i + j < size:
                 want[i][i + j] = integrate((tangent * cq[i]) * cs[j])
     assert a_matrix(m, n, k) == want
+
+
+@pytest.mark.parametrize("m,n,k", [
+    (3, 3, 1), (4, 3, 2), (5, 5, 2), (6, 6, 3), (7, 7, 3), (8, 8, 4),
+    (9, 9, 4), (9, 9, 2), (9, 9, 7), (8, 5, 2), (9, 8, 5), (10, 10, 5),
+])
+def test_a_matrix_matches_localization(m, n, k):
+    # Atiyah-Bott over the k-subsets: no partitions, no Pieri table, no c(T_G)
+    assert a_matrix(m, n, k) == a_matrix_localized(m, n, k)
+
+
+def test_divide_exactly_drops_zeros_and_names_a_remainder():
+    assert _divide_exactly({(1,): 6, (2,): 0, (1, 1): -3}, 3, "x") == {(1,): 2, (1, 1): -1}
+    assert _divide_exactly({(): 5, (1,): 0}, 0, "x") == {(): 5}
+    with pytest.raises(ConsistencyError, match=r"c_2\(T\) of box 2x2 is not integral at \(2,\)"):
+        _divide_exactly({(1, 1): 4, (2,): 3}, 2, "c_2(T) of box 2x2")
 
 
 def test_a_matrix_takes_no_class_products(monkeypatch):
