@@ -22,8 +22,7 @@ written once in strata_sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord
 from .errors import ConsistencyError, ParameterError, check_params
 from .partitions import binom
 from .schubert import a_matrix
@@ -112,12 +111,13 @@ class ProjClass(CoeffVector):
         return f"ProjClass({list(self.coeffs)})"
 
 
-@dataclass(frozen=True)
-class StrataVector:
+class StrataVector(FrozenRecord):
     """Integers indexed by strata lo..lo+len(values)-1 of the rank filtration."""
 
-    lo: int
-    values: tuple[int, ...]
+    __slots__ = ("lo", "values")
+
+    def __init__(self, lo: int, values: tuple[int, ...]):
+        self._freeze(lo, values)
 
     @property
     def hi(self) -> int:

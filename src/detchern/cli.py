@@ -7,6 +7,12 @@ tables.  Three reports, `symmetry`, `scan` and `tables`, check the flip
 symmetries, the effectivity/vanishing conjectures and the reference tables.
 Computed Chern-Mather classes persist across runs in `cm.json`.
 
+Every command is a fresh process, so importing this module does only what
+every command needs: it imports no `dataclasses` (see `_record`), loads the
+reference tables (`detchern.tables`) only for the `tables` report, and the
+options all commands share are declared once, on a parent parser.  Check
+with `python -X importtime -c "import detchern.cli"`.
+
 Exit codes: 0 success, 2 parameter errors, 3 internal consistency failure
 (including a report whose check fails).
 Integers are always rendered as decimal strings; repeated invocations with
@@ -21,11 +27,10 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from math import factorial, prod
 
-from . import tables
+from ._record import Record
 from .classes import (
     chern_fulton_hypersurface,
     cm_cache_export,
@@ -60,21 +65,20 @@ CACHE_DIR_ENV = "DETCHERN_CACHE_DIR"
 _DECIMAL = re.compile(r"-?[0-9]+")  # how save_caches writes a cm.json coefficient
 
 
-@dataclass
-class OutputDocument:
+class OutputDocument(Record):
     """Lossless, deterministic serialization of one computed payload."""
 
-    kind: str
-    m: int | None
-    n: int | None
-    k: int | None
-    basis: str
-    coefficients: list
-    meta: dict = field(default_factory=dict)
-    version: str = DOC_VERSION
+    __slots__ = ("kind", "m", "n", "k", "basis", "coefficients", "meta", "version")
+
+    def __init__(self, kind: str, m: int | None, n: int | None, k: int | None, basis: str,
+                 coefficients: list, meta: dict | None = None, version: str = DOC_VERSION):
+        self.kind, self.m, self.n, self.k, self.basis = kind, m, n, k, basis
+        self.coefficients = coefficients
+        self.meta = {} if meta is None else meta
+        self.version = version
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(dict(zip(self.__slots__, self._values())), sort_keys=True)
 
     @classmethod
     def from_json(cls, blob: str) -> "OutputDocument":
@@ -117,16 +121,17 @@ class OutputDocument:
         return [str(i) for i in range(len(self.coefficients))]
 
 
-@dataclass
-class ScanReport:
+class ScanReport(Record):
     """Falsifiable regression gate for the effectivity and vanishing
     conjectures on open-stratum CSM classes."""
 
-    m_max: int
-    n_max: int
-    instances_checked: int = 0
-    effectivity_violations: list = field(default_factory=list)
-    vanishing_violations: list = field(default_factory=list)
+    __slots__ = ("m_max", "n_max", "instances_checked", "effectivity_violations", "vanishing_violations")
+
+    def __init__(self, m_max: int, n_max: int, instances_checked: int = 0,
+                 effectivity_violations: list | None = None, vanishing_violations: list | None = None):
+        self.m_max, self.n_max, self.instances_checked = m_max, n_max, instances_checked
+        self.effectivity_violations = [] if effectivity_violations is None else effectivity_violations
+        self.vanishing_violations = [] if vanishing_violations is None else vanishing_violations
 
     @property
     def ok(self) -> bool:
@@ -154,10 +159,16 @@ def scan_conjectures(m_max: int, n_max: int) -> ScanReport:
     return report
 
 
-@dataclass
-class TableReport:
-    cells_checked: int = 0
-    mismatches: list = field(default_factory=list)
+class TableReport(Record):
+    """Outcome of replaying the reference tables: the number of cells
+    compared and one (kind, key, index, expected, actual) tuple per cell
+    that differs, with both values as strings."""
+
+    __slots__ = ("cells_checked", "mismatches")
+
+    def __init__(self, cells_checked: int = 0, mismatches: list | None = None):
+        self.cells_checked = cells_checked
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def ok(self) -> bool:
@@ -165,6 +176,10 @@ class TableReport:
 
 
 def default_fixtures() -> list[tuple[str, tuple, object]]:
+    """Every value of the bundled reference tables as (kind, key, value).
+    The tables are imported here, so only the `tables` report loads them."""
+    from . import tables
+
     fixtures: list[tuple[str, tuple, object]] = []
     for kind, table in {
         "cm": tables.CM,
@@ -386,16 +401,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="detchern",
         description="Exact characteristic classes and cycles of determinantal varieties.",
     )
+    common = argparse.ArgumentParser(add_help=False)  # the options every command takes
+    common.add_argument("-m", type=int, default=None)
+    common.add_argument("-n", type=int, default=None)
+    common.add_argument("-k", type=int, default=None)
+    common.add_argument("--format", choices=["json", "csv", "markdown"], default="json")
+    common.add_argument("--cache-dir", default=None)
+    common.add_argument("--max-box", type=int, default=None)
+    common.add_argument("--check", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
     for kind in [*KINDS, "symmetry", "scan", "tables"]:
-        p = sub.add_parser(kind)
-        p.add_argument("-m", type=int, default=None)
-        p.add_argument("-n", type=int, default=None)
-        p.add_argument("-k", type=int, default=None)
-        p.add_argument("--format", choices=["json", "csv", "markdown"], default="json")
-        p.add_argument("--cache-dir", default=None)
-        p.add_argument("--max-box", type=int, default=None)
-        p.add_argument("--check", action="store_true")
+        sub.add_parser(kind, parents=[common])
     return parser
 
 
@@ -442,10 +458,13 @@ def run(argv) -> int:
 
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
     old_limit = None
-    if args.max_box is not None:
-        old_limit = set_box_cell_limit(args.max_box)
     started = time.monotonic()
     try:
+        if args.max_box is not None:
+            try:
+                old_limit = set_box_cell_limit(args.max_box)
+            except ParameterError as exc:
+                raise ParameterError(f"--max-box: {exc}") from None
         loaded = load_caches(cache_dir) if cache_dir else None
         if args.command in KINDS:
             doc = compute_document(args.command, args.m, args.n, args.k, check=args.check)

@@ -19,8 +19,7 @@ the signs produced by the alternating sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import Record
 from .classes import CoeffVector, ProjClass, at_minus_one_minus_t, cm_class, strata_sum, variety_dim
 from .errors import ConsistencyError, ParameterError, check_params
 from .partitions import binom
@@ -165,13 +164,14 @@ def dual_cm(c: ProjClass, dim_x: int) -> ProjClass:
     return ProjClass.from_h_coefficients(tuple(out_sign * v for v in r))
 
 
-@dataclass
-class SymmetryReport:
+class SymmetryReport(Record):
     """Pass/fail results for the flip symmetries of characteristic cycles."""
 
-    m: int
-    n: int
-    checks: list[tuple[str, bool]] = field(default_factory=list)
+    __slots__ = ("m", "n", "checks")
+
+    def __init__(self, m: int, n: int, checks: list[tuple[str, bool]] | None = None):
+        self.m, self.n = m, n
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

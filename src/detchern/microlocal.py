@@ -9,20 +9,20 @@ substitution over plain integers solves it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord
 from .classes import StrataVector
 from .errors import ConsistencyError, ParameterError, check_params
 from .lagrangian import BiProjClass, conormal
 from .partitions import binom
 
 
-@dataclass(frozen=True)
-class IndexSystem:
+class IndexSystem(FrozenRecord):
     """chi = e . r with e unit lower-triangular over the strata 0..n-1."""
 
-    chi: tuple[int, ...]
-    e: tuple[tuple[int, ...], ...]
+    __slots__ = ("chi", "e")
+
+    def __init__(self, chi: tuple[int, ...], e: tuple[tuple[int, ...], ...]):
+        self._freeze(chi, e)
 
     @property
     def strata_count(self) -> int:

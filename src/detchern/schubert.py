@@ -26,10 +26,10 @@ box here) are deterministic and safe to repopulate from concurrent callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
 
+from ._record import FrozenRecord
 from .errors import BoxSizeError, ConsistencyError, ParameterError, check_params
 from .partitions import Partition, conjugate, fits_in, lr_expansion, normalize, partitions_in_box
 
@@ -40,28 +40,35 @@ _box_cell_limit = DEFAULT_BOX_CELL_LIMIT
 
 
 def set_box_cell_limit(cells: int) -> int:
-    """Set the maximum allowed rows*cols for a Box; returns the old limit."""
+    """Set the maximum allowed rows*cols for a Box; returns the old limit.
+    A limit below 1, which no box fits, is a ParameterError."""
     global _box_cell_limit
+    cells = int(cells)
+    if cells < 1:
+        raise ParameterError(f"the box cell limit must be at least 1, got {cells}")
     old = _box_cell_limit
-    _box_cell_limit = int(cells)
+    _box_cell_limit = cells
     return old
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(FrozenRecord):
     """The k x (n-k) rectangle indexing the Schubert basis of G(k, n)."""
 
-    rows: int
-    cols: int
+    __slots__ = ("rows", "cols")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ParameterError(f"box sides must be positive, got {self.rows}x{self.cols}")
-        if self.rows * self.cols > _box_cell_limit:
+    def __init__(self, rows: int, cols: int):
+        if rows < 1 or cols < 1:
+            raise ParameterError(f"box sides must be positive, got {rows}x{cols}")
+        if rows * cols > _box_cell_limit:
             raise BoxSizeError(
-                f"box {self.rows}x{self.cols} exceeds the cell limit "
+                f"box {rows}x{cols} exceeds the cell limit "
                 f"{_box_cell_limit}; raise it with set_box_cell_limit()"
             )
+        self._freeze(rows, cols)
+
+    def _values(self) -> tuple[int, int]:
+        # a Box keys the per-box caches, so == and hash read the fields directly
+        return self.rows, self.cols
 
     @property
     def dim(self) -> int:

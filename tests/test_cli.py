@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from detchern import classes, cli
+from detchern import classes, cli, schubert
 from detchern.cli import (
     CACHE_VERSION,
     OutputDocument,
@@ -99,6 +102,71 @@ def test_max_box_flag_overrides_limit(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "3,9,3,0,0,0,0"
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_max_box_below_one_names_the_flag(capsys, limit):
+    # no box fits such a limit, so raising it with set_box_cell_limit() is
+    # not the advice to give: the flag's value itself is wrong
+    code, out, err = invoke(capsys, "amatrix", "-m", "3", "-n", "3", "-k", "1", "--max-box", limit)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --max-box: the box cell limit must be at least 1, got {limit}\n")
+    assert schubert._box_cell_limit == schubert.DEFAULT_BOX_CELL_LIMIT
+
+
+USAGE = """usage: detchern [-h]
+                {cm,csm,csm_open,eu,fulton,milnor,conormal,charcycle,charcycle_open,polar,ged,microlocal,amatrix,dual_check,symmetry,scan,tables}
+                ...
+"""
+HELP = USAGE + """
+Exact characteristic classes and cycles of determinantal varieties.
+
+positional arguments:
+  {cm,csm,csm_open,eu,fulton,milnor,conormal,charcycle,charcycle_open,polar,ged,microlocal,amatrix,dual_check,symmetry,scan,tables}
+
+options:
+  -h, --help            show this help message and exit
+"""
+CM_HELP = """usage: detchern cm [-h] [-m M] [-n N] [-k K] [--format {json,csv,markdown}]
+                   [--cache-dir CACHE_DIR] [--max-box MAX_BOX] [--check]
+
+options:
+  -h, --help            show this help message and exit
+  -m M
+  -n N
+  -k K
+  --format {json,csv,markdown}
+  --cache-dir CACHE_DIR
+  --max-box MAX_BOX
+  --check
+"""
+FROBNICATE = USAGE + (
+    "detchern: error: argument command: invalid choice: 'frobnicate' (choose from "
+    "'cm', 'csm', 'csm_open', 'eu', 'fulton', 'milnor', 'conormal', 'charcycle', "
+    "'charcycle_open', 'polar', 'ged', 'microlocal', 'amatrix', 'dual_check', "
+    "'symmetry', 'scan', 'tables')\n"
+)
+
+
+def test_help_and_usage_text(capsys, monkeypatch):
+    # every command shares one parent parser of options; its help must read
+    # as when each command declared them itself (text of CPython 3.10-3.11)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert invoke(capsys, "--help") == (0, HELP, "")
+    assert invoke(capsys, "cm", "--help") == (0, CM_HELP, "")
+    assert invoke(capsys, "frobnicate") == (2, "", FROBNICATE)
+
+
+def test_import_loads_no_dataclasses_and_tables_on_demand():
+    # pytest itself imports dataclasses, so a fresh interpreter without
+    # site-packages checks what importing the CLI pulls in
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (f"import sys; sys.path.insert(0, {src!r}); import detchern.cli as cli; "
+              "loaded = sorted({'dataclasses', 'inspect', 'detchern.tables'} & sys.modules.keys()); "
+              "assert not loaded, loaded; "
+              "cli.default_fixtures(); assert 'detchern.tables' in sys.modules")
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_check_flag(capsys):

@@ -403,6 +403,10 @@ def test_box_guardrail():
         set_box_cell_limit(old)
     with pytest.raises(BoxSizeError):
         Box(7, 6)
+    for limit in (0, -1):  # no box fits: an invalid limit, left unset
+        with pytest.raises(ParameterError, match="at least 1"):
+            set_box_cell_limit(limit)
+    assert Box(6, 6).dim == 36
 
 
 def test_lr_expansion_universal_cache_is_box_free():
