@@ -13,6 +13,13 @@ Main routes: cm_class and chern_fulton_hypersurface, polynomial maps in
 the hyperplane class H.  Check routes: cm_class_via_trace and b_matrix,
 the explicit binomial sums, which share no contraction code with them.
 
+The substitution t -> -1-t behind the characteristic cycles and the dual
+involution (at_minus_one_minus_t) is a Kronecker substitution: Horner's
+rule runs on one integer at t = X = 2^B, with B = (largest bit length of
+an input coefficient) + (degree) + 2, so that every output coefficient,
+of absolute value at most sum_j |p_j| 2^j < X/2, is one balanced base-X
+digit.
+
 ProjClass and lagrangian.BiProjClass are both dense integer tuples and
 share their linear operations through CoeffVector.  The c_SM classes of
 tau(m, n, k) and of its open stratum, and the characteristic cycles in
@@ -21,6 +28,8 @@ written once in strata_sum.
 """
 
 from __future__ import annotations
+
+from operator import add, mul, neg
 
 from ._record import FrozenRecord
 from .errors import ConsistencyError, ParameterError, check_params
@@ -55,18 +64,18 @@ class CoeffVector:
     def __add__(self, other):
         if type(other) is not type(self) or len(other.coeffs) != len(self.coeffs):
             raise ValueError("ambient dimension mismatch")
-        return self._new(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return self._new(map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return self._new(-a for a in self.coeffs)
+        return self._new(map(neg, self.coeffs))
 
     def __mul__(self, scalar: int):
         if not isinstance(scalar, int):
             return NotImplemented
-        return self._new(a * scalar for a in self.coeffs)
+        return self._new([a * scalar for a in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -137,25 +146,46 @@ def variety_dim(m: int, n: int, k: int) -> int:
 def strata_sum(n: int, k: int, open_stratum: bool, term, zero):
     """sum_i (-1)^i w_i term(k+i) over the strata k+i = k..n-1, with
     w_i = binom(k+i, k) for the open stratum of kernel dimension exactly k
-    and w_i = binom(k+i-1, k-1) for the closure tau(m, n, k)."""
-    out = zero
+    and w_i = binom(k+i-1, k-1) for the closure tau(m, n, k).  `zero` fixes
+    the vector type and size; a term of another type or size is a
+    ValueError, as in CoeffVector.__add__.  One pass over the coefficient
+    positions sums every term at once."""
+    weights, vectors = [], []
     for i in range(n - k):
+        v = term(k + i)
+        if type(v) is not type(zero) or len(v.coeffs) != len(zero.coeffs):
+            raise ValueError("ambient dimension mismatch")
         w = binom(k + i, k) if open_stratum else binom(k + i - 1, k - 1)
-        out = out + (-1) ** i * w * term(k + i)
-    return out
+        weights.append(-w if i & 1 else w)
+        vectors.append(v.coeffs)
+    return zero._new(sum(map(mul, weights, column)) for column in zip(*vectors))
 
 
 def at_minus_one_minus_t(p) -> list[int]:
     """Coefficients of p(-1-t) from those of p(t) (index = power, same
-    length), by Horner's rule from the highest nonzero coefficient down: a
-    class of a d-dimensional variety is zero above [P^d]."""
-    top = max((j for j, c in enumerate(p) if c), default=-1)
-    out: list[int] = []
+    length).  Kronecker substitution: Horner's rule q <- c + q (-1-X) runs
+    from the highest nonzero coefficient down (a class of a d-dimensional
+    variety is zero above [P^d]) on one integer at X = 2^B, and the balanced
+    base-X digits of the result are the coefficients.  Each of them has
+    absolute value at most sum_j |p_j| 2^j < 2^(b+top+1), b the largest bit
+    length in p and top the degree, so B = b + top + 2, rounded up to whole
+    bytes, keeps every digit inside (-X/2, X/2)."""
+    top = len(p) - 1
+    while top >= 0 and not p[top]:
+        top -= 1
+    if top < 0:
+        return [0] * len(p)
+    width = (max(map(int.bit_length, p)) + top + 9) // 8  # bytes per digit; bit_length ignores the sign
+    shift = 8 * width
+    q = 0
     for c in reversed(p[: top + 1]):
-        # out <- out (-1-t) + c
-        out = [-a - b for a, b in zip([*out, 0], [0, *out])]
-        out[0] += c
-    return out + [0] * (len(p) - len(out))
+        q = c - q - (q << shift)
+    # adding X/2 to every digit makes them all nonnegative, so they read off as bytes
+    half = 1 << (shift - 1)
+    q += int.from_bytes((bytes(width - 1) + b"\x80") * (top + 1), "little")
+    raw = q.to_bytes(width * (top + 1), "little")
+    out = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
+    return out + [0] * (len(p) - top - 1)
 
 
 def b_matrix(m: int, n: int, k: int) -> list[list[int]]:
@@ -186,7 +216,7 @@ def cm_class(m: int, n: int, k: int) -> ProjClass:
     gamma = [0] * (m * n)
     for i, row in enumerate(rows):
         # gamma <- gamma (1+H) + row i; zip drops the H^mn term
-        gamma = [a + b for a, b in zip(gamma, [0, *gamma])]
+        gamma = list(map(add, gamma, [0, *gamma]))
         for p, a in enumerate(row):
             if a:
                 gamma[m * k + i - p] += a

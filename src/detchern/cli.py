@@ -28,7 +28,7 @@ import re
 import sys
 import time
 from itertools import zip_longest
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from ._record import Record
 from .classes import (
@@ -225,9 +225,14 @@ def reproduce_reference_tables(fixtures=None) -> TableReport:
 # from them or recomputed faster than a larger file loads.
 
 
-def load_caches(cache_dir: str) -> dict | None:
+def load_caches(cache_dir: str, check: bool = False) -> dict | None | bool:
     """Seed the Chern-Mather cache from cm.json; returns the entries when the
-    file loaded cleanly, None when it is missing, stale or corrupt."""
+    file loaded cleanly, None when it is missing, stale or corrupt (run then
+    rewrites it).  A well-formed entry that contradicts a closed form (the
+    Porteous degree at [P^dim], the Euler characteristic mn C(n-1, k) of the
+    Euler obstruction at [P^0]) is a forgery: the file is ignored but left as
+    it is, returning False, and under `check` it is a ConsistencyError that
+    names the file."""
     path = os.path.join(cache_dir, "cm.json")
     if not os.path.exists(path):
         return None
@@ -245,13 +250,24 @@ def load_caches(cache_dir: str) -> dict | None:
             if not all(isinstance(c, str) and _DECIMAL.fullmatch(c) for c in coeffs):
                 raise ValueError(f"entry {key!r} has a coefficient that is not a decimal string")
             values = tuple(int(c) for c in coeffs)
-            # a class of a d-dimensional variety ends at [P^d] with a positive degree
+            # a class of a d-dimensional variety ends at [P^d]
             d = variety_dim(m, n, k)
-            if values[d] <= 0 or any(values[d + 1:]):
+            if any(values[d + 1:]):
                 raise ValueError(f"entry {key!r} is not the class of a {d}-dimensional variety")
+            # closed forms that share no code with the engine
+            degree, euler = _porteous_degree(m, n, k), m * n * comb(n - 1, k)
+            if values[d] != degree:
+                raise ConsistencyError(f"entry {key!r} has {values[d]} at [P^{d}], not the degree {degree}")
+            if values[0] != euler:
+                raise ConsistencyError(f"entry {key!r} has {values[0]} at [P^0], not the Euler characteristic {euler}")
             entries[(m, n, k)] = values
         cm_cache_import(entries)
         return entries
+    except ConsistencyError as exc:
+        if check:
+            raise ConsistencyError(f"cache {path}: {exc}") from None
+        print(f"warning: ignoring corrupt cache {path}: {exc}; the file is left as it is", file=sys.stderr)
+        return False
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"warning: ignoring corrupt cache {path}: {exc}", file=sys.stderr)
         return None
@@ -465,7 +481,7 @@ def run(argv) -> int:
                 old_limit = set_box_cell_limit(args.max_box)
             except ParameterError as exc:
                 raise ParameterError(f"--max-box: {exc}") from None
-        loaded = load_caches(cache_dir) if cache_dir else None
+        loaded = load_caches(cache_dir, args.check) if cache_dir else None
         if args.command in KINDS:
             doc = compute_document(args.command, args.m, args.n, args.k, check=args.check)
             print(getattr(doc, f"to_{args.format}")())
@@ -478,8 +494,9 @@ def run(argv) -> int:
                 print("\n".join(lines))
             if not ok:
                 return 3
-        # a file that loaded cleanly and already holds every entry stays as it is
-        if cache_dir and cm_cache_export() != loaded:
+        # a file that loaded cleanly and already holds every entry stays as it is,
+        # and so does a forged one (loaded is False)
+        if cache_dir and loaded is not False and cm_cache_export() != loaded:
             try:
                 save_caches(cache_dir)
             except OSError as exc:

@@ -4,7 +4,10 @@ Projectivized conormal cycles, characteristic cycles of the closed
 varieties and of their open strata, polar degrees, generic Euclidean
 distance degrees, the exponent-swapping flip, and the dual-variety
 involution on Chern-Mather classes.  Main routes: ch_from_class and
-involution_dual substitute t -> -1-t (classes.at_minus_one_minus_t).
+involution_dual substitute t -> -1-t (classes.at_minus_one_minus_t), one
+Horner pass on a single integer at t = 2^B, with B = (largest bit length
+of a coefficient) + (degree) + 2 bits, enough for every coefficient of the
+image.
 Check route: polar_degrees checks the conormal coefficients against the
 explicit polar-class binomial sum over the Chern-Mather class.
 
@@ -18,6 +21,9 @@ the signs produced by the alternating sums.
 """
 
 from __future__ import annotations
+
+from math import comb
+from operator import add
 
 from ._record import Record
 from .classes import CoeffVector, ProjClass, at_minus_one_minus_t, cm_class, strata_sum, variety_dim
@@ -63,7 +69,7 @@ def ch_from_class(c: ProjClass) -> BiProjClass:
     monomial h1^(N+1-j) h2^j, for j = 1..N."""
     N = c.ambient_dim
     g = at_minus_one_minus_t(c.coeffs[:N])
-    return BiProjClass(N, [a + b for a, b in zip([*g[1:], 0], g)])
+    return BiProjClass(N, map(add, [*g[1:], 0], g))
 
 
 _CON_CACHE: dict[tuple[int, int, int], BiProjClass] = {}
@@ -114,12 +120,9 @@ def polar_degrees(m: int, n: int, k: int) -> list[int]:
     con = conormal(m, n, k)
     from_con = [con.coefficient(codim + l) for l in range(d + 1)]
     beta = cm_class(m, n, k).coeffs
-    from_polar = []
-    for l in range(d + 1):
-        total = 0
-        for i in range(l + 1):
-            total += (-1) ** i * binom(d - i + 1, d - l + 1) * beta[d - i]
-        from_polar.append(total)
+    signed = [-beta[d - i] if i & 1 else beta[d - i] for i in range(d + 1)]  # (-1)^i beta_(d-i)
+    # d-i+1 >= d-l+1 >= 1 here, so comb needs none of binom's zero cases
+    from_polar = [sum(comb(d - i + 1, d - l + 1) * signed[i] for i in range(l + 1)) for l in range(d + 1)]
     if from_con != from_polar:
         raise ConsistencyError(
             f"polar degree routes disagree for ({m},{n},{k}): "

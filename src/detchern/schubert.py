@@ -9,13 +9,14 @@ strips, a single one (the Pieri rule) for a row or column class.  On top of
 the ring the module provides the Chern classes of the universal bundles,
 Chern classes of their m-fold (dualized) direct sums, the total Chern class
 of the tangent bundle from its power sums (Murnaghan-Nakayama rule and
-Newton's identities, no LR products; computed once per box; the terms t
-and i-t of p_i(T) cancel for odd i, leaving n p_i(x), and coincide for even
-i), the degree map, the Poincare-duality pairing, and the matrix of degrees of
-tangent-twisted products of those Chern classes that drives the
-characteristic-class formulas downstream.  That matrix takes no products
-of classes: its rows come from c(T_G) in one pass of Miller's recurrence
-for c(Q*)^m, with Pieri steps read from a per-box table; its columns c(S*^m)
+Newton's identities, no LR products; computed once per box, and for a
+tall box read off the transposed one; the terms t and i-t of p_i(T) cancel
+for odd i, leaving n p_i(x), and coincide for even i), the degree map, the
+Poincare-duality pairing, and the matrix of degrees of tangent-twisted
+products of those Chern classes that drives the characteristic-class
+formulas downstream.  That matrix takes no products of classes: its rows
+come from c(T_G) in one pass of Miller's recurrence for c(Q*)^m, with
+Pieri steps read from a per-box table; its columns c(S*^m)
 are closed by the dual Cauchy identity and the hook-content formula, and
 Poincare duality reads each entry off the complement of a row's partition.
 
@@ -291,7 +292,12 @@ def tangent_chern(box: Box) -> ChowClass:
     j c_j(T) = sum_i (-1)^(i-1) c_(j-i)(T) p_i(T), run forward: each finished
     c_d adds (-1)^(i-1) c_d p_i(T) to j c_j(T) at j = d+i, from products
     c_d p_t shared by every i.  Each s_lam p_r takes one rim-hook pass per
-    call, and the class is computed once per box."""
+    call, and the class is computed once per box.  A tall box (rows > cols)
+    takes the conjugate of the wide one's class: G(k, n) = G(n-k, n) swaps
+    S* and Q, so it sends s_lam to s_lam'."""
+    if box.rows > box.cols:
+        wide = tangent_chern(Box(box.cols, box.rows))
+        return ChowClass._trusted(box, {conjugate(lam): c for lam, c in wide.terms.items()})
     memo: dict[tuple[Partition, int], dict[Partition, int]] = {}
 
     def times(terms: dict[Partition, int], r: int, scale: int, out: dict[Partition, int]) -> dict[Partition, int]:

@@ -16,9 +16,11 @@ from detchern.classes import (
     csm_open,
     euler_obstruction,
     milnor_class,
+    strata_sum,
     variety_dim,
 )
 from detchern.errors import ParameterError
+from detchern.lagrangian import BiProjClass
 from detchern.partitions import binom
 from detchern.schubert import a_matrix
 
@@ -205,6 +207,47 @@ def test_minus_one_minus_t_matches_expansion(p):
     got = at_minus_one_minus_t(p)
     assert got == minus_one_minus_t_sum(p)
     assert at_minus_one_minus_t(got) == p
+
+
+# Kronecker substitution at its bit bound: coefficients up to 2^256 in size,
+# up to 150 of them (the 12 x 12 box has N = 143), zero runs at both ends
+BIG = 2**256
+SPARSE_ENDS = st.tuples(
+    st.integers(0, 15), st.lists(st.integers(-BIG, BIG), max_size=120), st.integers(0, 15)
+).map(lambda t: [0] * t[0] + t[1] + [0] * t[2])
+
+
+@given(SPARSE_ENDS)
+@settings(max_examples=40, deadline=None)
+def test_minus_one_minus_t_at_large_coefficients(p):
+    got = at_minus_one_minus_t(p)
+    assert got == minus_one_minus_t_sum(p)
+    assert at_minus_one_minus_t(got) == p
+
+
+@pytest.mark.parametrize("p", [
+    [],
+    [0],
+    [0] * 150,
+    [7],
+    [-BIG],
+    [0, 0, BIG - 1, 0],
+    # (-1)^j M gives p(-1-t) = M sum_j (1+t)^j: every term of every output
+    # coefficient has one sign, the largest |q_j| for this bit length
+    [(-1) ** j * (BIG - 1) for j in range(150)],
+    [(-1) ** (j + 1) * (BIG - 1) for j in range(150)],
+    [0] * 5 + [(-1) ** j * (BIG - 1) for j in range(140)] + [0] * 5,
+], ids=["empty", "zero", "zeros", "single", "minus-big", "inner", "alternating", "alternating-neg", "alternating-padded"])
+def test_minus_one_minus_t_edge_cases(p):
+    got = at_minus_one_minus_t(p)
+    assert got == minus_one_minus_t_sum(p)
+    assert at_minus_one_minus_t(got) == p
+
+
+def test_strata_sum_rejects_a_term_of_another_type_or_size():
+    for bad in (BiProjClass(8), ProjClass(7)):
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            strata_sum(3, 1, False, lambda j: bad if j == 2 else cm_class(3, 3, j), ProjClass(8))
 
 
 def test_euler_obstruction_values():

@@ -434,6 +434,27 @@ def test_cache_invalid_entry_rejected(capsys, tmp_path, entry):
     assert rebuilt.keys() & entry.keys() <= {"3,3,1"}
 
 
+@pytest.mark.parametrize("entry,why", [
+    ([*CM_331[:7], "4", "0"], "has 4 at [P^7], not the degree 3"),
+    (["19", *CM_331[1:]], "has 19 at [P^0], not the Euler characteristic 18"),
+], ids=["degree", "euler"])
+def test_cache_forged_closed_form_changes_no_answer(capsys, tmp_path, monkeypatch, entry, why):
+    # both polar routes read the cached class, so only the load-time closed
+    # forms see this; the file is left for a --check run to name
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    text = json.dumps({"version": CACHE_VERSION, "cm": {"3,3,1": entry}})
+    (cache / "cm.json").write_text(text)
+    monkeypatch.setattr(classes, "_CM_CACHE", {})
+    code, out, err = invoke(capsys, "ged", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(cache), "--format", "csv")
+    assert code == 0 and out.strip() == "39"
+    assert "warning: ignoring corrupt cache" in err and why in err
+    assert (cache / "cm.json").read_text() == text
+    code, out, err = invoke(capsys, "ged", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(cache), "--check")
+    assert code == 3 and out == ""
+    assert f"cache {cache / 'cm.json'}: entry '3,3,1' {why}" in err
+
+
 def test_cache_corrupt_file_recovers(capsys, tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()

@@ -292,6 +292,28 @@ def test_tangent_chern_takes_one_rim_hook_pass_per_shape_and_power(monkeypatch):
     assert calls and max(calls.values()) == 1
 
 
+def test_tall_box_takes_its_tangent_class_from_the_transposed_box(monkeypatch):
+    calls = Counter()
+    real = schubert._times_power_sum
+
+    def counting(box, terms, r):
+        calls[box.rows, box.cols] += 1
+        return real(box, terms, r)
+
+    monkeypatch.setattr(schubert, "_times_power_sum", counting)
+    tangent_chern.cache_clear()
+    try:
+        wide = tangent_chern(boxed(2, 4))
+        assert calls[2, 4] > 0
+        calls.clear()
+        tall = tangent_chern(boxed(4, 2))
+    finally:
+        tangent_chern.cache_clear()
+    assert not calls
+    assert tall.terms == {conjugate(lam): c for lam, c in wide.terms.items()}
+    assert tall.terms == tangent_chern_localized(4, 2)
+
+
 A_331 = [
     [3, 9, 3, 0, 0, 0, 0],
     [0, -9, -9, 0, 0, 0, 0],
