@@ -10,15 +10,20 @@ in the Chow group of P^(mn-1) and are stored little-endian over the basis
 exactly one place (ProjClass.h_coefficients / from_h_coefficients).
 
 Main routes: cm_class and chern_fulton_hypersurface, polynomial maps in
-the hyperplane class H.  Check routes: cm_class_via_trace and b_matrix,
-the explicit binomial sums, which share no contraction code with them.
+the hyperplane class H.  Check route: cm_class_via_trace, the literal
+trace of A * H * b_matrix over the nonzero entries of A, which shares no
+contraction code with them.
 
-The substitution t -> -1-t behind the characteristic cycles and the dual
-involution (at_minus_one_minus_t) is a Kronecker substitution: Horner's
-rule runs on one integer at t = X = 2^B, with B = (largest bit length of
-an input coefficient) + (degree) + 2, so that every output coefficient,
-of absolute value at most sum_j |p_j| 2^j < X/2, is one balanced base-X
-digit.
+cm_class and at_minus_one_minus_t (the substitution t -> -1-t behind the
+characteristic cycles and the dual involution) are Kronecker
+substitutions: Horner's rule runs on one integer at X = 2^B, and the
+balanced base-X digits of the result (_balanced_digits) are the output
+coefficients.  A digit is exact while its coefficient lies in (-X/2, X/2).
+Every output coefficient is a signed sum of inputs c times binomials
+binom(j, .), j <= top (the degree), each at most 2^top, so its absolute
+value is at most 2^top sum |c| < 2^(b+top+1), b the bit length of sum |c|
+(cm_class) or of the largest |c| (at_minus_one_minus_t, through sum_j 2^j
+< 2^(top+1)); B = b + top + 2, rounded up to whole bytes, is enough.
 
 ProjClass and lagrangian.BiProjClass are both dense integer tuples and
 share their linear operations through CoeffVector.  The c_SM classes of
@@ -163,13 +168,9 @@ def strata_sum(n: int, k: int, open_stratum: bool, term, zero):
 
 def at_minus_one_minus_t(p) -> list[int]:
     """Coefficients of p(-1-t) from those of p(t) (index = power, same
-    length).  Kronecker substitution: Horner's rule q <- c + q (-1-X) runs
-    from the highest nonzero coefficient down (a class of a d-dimensional
-    variety is zero above [P^d]) on one integer at X = 2^B, and the balanced
-    base-X digits of the result are the coefficients.  Each of them has
-    absolute value at most sum_j |p_j| 2^j < 2^(b+top+1), b the largest bit
-    length in p and top the degree, so B = b + top + 2, rounded up to whole
-    bytes, keeps every digit inside (-X/2, X/2)."""
+    length), as a Kronecker substitution (module docstring): Horner's rule
+    q <- c + q (-1-X) runs from the highest nonzero coefficient down (a
+    class of a d-dimensional variety is zero above [P^d])."""
     top = len(p) - 1
     while top >= 0 and not p[top]:
         top -= 1
@@ -180,12 +181,18 @@ def at_minus_one_minus_t(p) -> list[int]:
     q = 0
     for c in reversed(p[: top + 1]):
         q = c - q - (q << shift)
-    # adding X/2 to every digit makes them all nonnegative, so they read off as bytes
-    half = 1 << (shift - 1)
-    q += int.from_bytes((bytes(width - 1) + b"\x80") * (top + 1), "little")
-    raw = q.to_bytes(width * (top + 1), "little")
-    out = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
-    return out + [0] * (len(p) - top - 1)
+    return _balanced_digits(q, width, top + 1) + [0] * (len(p) - top - 1)
+
+
+def _balanced_digits(q: int, width: int, count: int) -> list[int]:
+    """The lowest `count` balanced digits of q in base X = 2^(8 width), each
+    inside (-X/2, X/2): adding X/2 to every digit makes them all
+    nonnegative, so they are the bytes of (q + sum_s X^s X/2) mod X^count."""
+    size = width * count
+    q += int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    raw = (q & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
 
 
 def b_matrix(m: int, n: int, k: int) -> list[list[int]]:
@@ -202,60 +209,63 @@ _CM_CACHE: dict[tuple[int, int, int], ProjClass] = {}
 
 def cm_class(m: int, n: int, k: int) -> ProjClass:
     """Chern-Mather class of tau(m, n, k) pushed to P^(mn-1): with
-    top = m(n-k), sum_i (1+H)^(top-i) sum_p A[i][p] H^(mk+i-p) mod H^mn,
-    by Horner's rule in (1+H) over the rows of the degree matrix A.
-    A[i][p] = 0 unless i <= p <= k(n-k) <= mk, so no exponent is negative.
-    For k = 0, G(0, n) is a point and A is 1 at (0, 0) and 0 elsewhere."""
+    top = m(n-k), sum_i (1+H)^(top-i) sum_p A[i][p] H^(mk+i-p) mod H^mn.
+    A[i][p] = 0 unless i <= p <= dim = k(n-k) <= mk, so that is
+    H^(mk-dim) (1+H)^(top-dim) sum_i (1+H)^(dim-i) r_i over i <= dim, with
+    r_i = sum_p A[i][p] H^(dim+i-p): a Kronecker substitution (module
+    docstring) that runs Horner's rule q <- q + qX + r_i and multiplies once
+    by the packed row of binom(top-dim, j).  Each coefficient is a sum of
+    A[i][p] binom(top-i, .).  For k = 0, G(0, n) is a point and A = [[1]]."""
     check_params(m, n, k, k_min=0)
     key = (m, n, k)
     hit = _CM_CACHE.get(key)
     if hit is not None:
         return hit
-    top = m * (n - k)
-    rows = a_matrix(m, n, k) if k else [(1,)] + [()] * top
-    gamma = [0] * (m * n)
-    for i, row in enumerate(rows):
-        # gamma <- gamma (1+H) + row i; zip drops the H^mn term
-        gamma = list(map(add, gamma, [0, *gamma]))
-        for p, a in enumerate(row):
-            if a:
-                gamma[m * k + i - p] += a
-    out = ProjClass.from_h_coefficients(gamma)
+    top, dim = m * (n - k), k * (n - k)
+    corner = [row[: dim + 1] for row in a_matrix(m, n, k)[: dim + 1]] if k else [[1]]
+    width = (sum(abs(a) for row in corner for a in row).bit_length() + top + 9) // 8  # bytes per digit
+    shift = 8 * width
+    q = 0
+    for i, row in enumerate(corner):
+        r = 0
+        for a in row[i:]:  # A[i][p] goes to X^(dim+i-p)
+            r = (r << shift) + a
+        q += (q << shift) + (r << shift * i)
+    c, packed = 1, []  # binom(top-dim, j) by the row recurrence
+    for j in range(top - dim + 1):
+        packed.append(c.to_bytes(width, "little"))
+        c = c * (top - dim - j) // (j + 1)
+    q *= int.from_bytes(b"".join(packed), "little")
+    out = ProjClass.from_h_coefficients([0] * (m * k - dim) + _balanced_digits(q, width, top + dim))
     _CM_CACHE[key] = out
     return out
 
 
 def cm_class_via_trace(m: int, n: int, k: int) -> ProjClass:
     """Cross-check path: literal trace of A * H * B over the truncated
-    polynomial ring Z[H]/(H^mn), where H is the matrix [H^(mk+j-i)].
-    Monomials with negative exponents must cancel identically."""
+    polynomial ring Z[H]/(H^mn), where H is the matrix [H^(mk+j-i)] and B
+    is b_matrix.  Only the nonzero entries A[i][p] are visited, each against
+    the nonzero entries B[j][i] = binom(top-i, j-i), j >= i, of column i, so
+    the cost is nnz(A) (top+1) binomials.  Monomials with negative exponents
+    must cancel identically."""
     check_params(m, n, k)
     N = m * n - 1
     top = m * (n - k)
-    A = a_matrix(m, n, k)
-    B = b_matrix(m, n, k)
     trace: dict[int, int] = {}
-    for i in range(top + 1):
-        for j in range(top + 1):
-            # entry (i, j) of A*H is sum_p A[i][p] H^(mk+j-p)
-            for p in range(top + 1):
-                a = A[i][p]
-                if a == 0:
-                    continue
-                c = a * B[j][i]
-                if c == 0:
-                    continue
-                e = m * k + j - p
-                if e <= N:  # truncate H^mn and above
-                    trace[e] = trace.get(e, 0) + c
-    gamma = [0] * (N + 1)
-    for e, c in trace.items():
-        if c == 0:
+    for i, row in enumerate(a_matrix(m, n, k)):
+        if not any(row):
             continue
-        if e < 0:
+        for p, a in enumerate(row):
+            if a:
+                # entry (i, j) of A*H is sum_p A[i][p] H^(mk+j-p), and B[j][i] is 0 for j < i
+                for j in range(i, top + 1):
+                    e = m * k + j - p
+                    if e <= N:  # truncate H^mn and above
+                        trace[e] = trace.get(e, 0) + a * binom(top - i, j - i)
+    for e, c in trace.items():
+        if c and e < 0:
             raise ConsistencyError(f"negative hyperplane power survived: H^{e}")
-        gamma[e] = c
-    return ProjClass.from_h_coefficients(gamma)
+    return ProjClass.from_h_coefficients([trace.get(e, 0) for e in range(N + 1)])
 
 
 def csm_class(m: int, n: int, k: int) -> ProjClass:

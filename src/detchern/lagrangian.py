@@ -9,7 +9,7 @@ Horner pass on a single integer at t = 2^B, with B = (largest bit length
 of a coefficient) + (degree) + 2 bits, enough for every coefficient of the
 image.
 Check route: polar_degrees checks the conormal coefficients against the
-explicit polar-class binomial sum over the Chern-Mather class.
+polar-class binomial sums over the Chern-Mather class, by Pascal's rule.
 
 A BiProjClass is a classes.CoeffVector: its N coefficients are stored
 densely by descending h1 exponent (h1^N h2, ..., h1 h2^N), the order of
@@ -22,7 +22,6 @@ the signs produced by the alternating sums.
 
 from __future__ import annotations
 
-from math import comb
 from operator import add
 
 from ._record import Record
@@ -111,7 +110,8 @@ def polar_degrees(m: int, n: int, k: int) -> list[int]:
 
     Primary route: read the conormal-cycle coefficient at
     h1^(codim+l) h2^(mn-codim-l).  Secondary route: the polar-class degree
-    sums over the Chern-Mather coefficients.  The routes must agree.
+    sums over the Chern-Mather coefficients, by Pascal's rule on plain lists
+    (no Kronecker pass, so it shares no code with the first).  The routes must agree.
     """
     check_params(m, n, k)
     N = m * n - 1
@@ -120,9 +120,13 @@ def polar_degrees(m: int, n: int, k: int) -> list[int]:
     con = conormal(m, n, k)
     from_con = [con.coefficient(codim + l) for l in range(d + 1)]
     beta = cm_class(m, n, k).coeffs
-    signed = [-beta[d - i] if i & 1 else beta[d - i] for i in range(d + 1)]  # (-1)^i beta_(d-i)
-    # d-i+1 >= d-l+1 >= 1 here, so comb needs none of binom's zero cases
-    from_polar = [sum(comb(d - i + 1, d - l + 1) * signed[i] for i in range(l + 1)) for l in range(d + 1)]
+    # sum_(i<=l) binom(d-i+1, d-l+1) (-1)^i beta_(d-i) is [x^(d+1-l)] of P = sum_i (-1)^i beta_(d-i)
+    # (1+x)^(d+1-i), built by Pascal's rule P <- (P + (-1)^i beta_(d-i)) (1+x) on a plain list
+    P = [0]
+    for i in range(d + 1):
+        P[0] += -beta[d - i] if i & 1 else beta[d - i]
+        P = list(map(add, [*P, 0], [0, *P]))
+    from_polar = P[d + 1 : 0 : -1]
     if from_con != from_polar:
         raise ConsistencyError(
             f"polar degree routes disagree for ({m},{n},{k}): "

@@ -8,15 +8,17 @@ dimension are not expanded at all); the expansion is a chain of horizontal
 strips, a single one (the Pieri rule) for a row or column class.  On top of
 the ring the module provides the Chern classes of the universal bundles,
 Chern classes of their m-fold (dualized) direct sums, the total Chern class
-of the tangent bundle from its power sums (Murnaghan-Nakayama rule and
-Newton's identities, no LR products; computed once per box, and for a
-tall box read off the transposed one; the terms t and i-t of p_i(T) cancel
+of the tangent bundle from its power sums (Murnaghan-Nakayama rule, one
+bead pass per shape for every power, and Newton's identities, no LR
+products; computed once per box, and for a tall box read off the
+transposed one; the terms t and i-t of p_i(T) cancel
 for odd i, leaving n p_i(x), and coincide for even i), the degree map, the
 Poincare-duality pairing, and the matrix of degrees of tangent-twisted
 products of those Chern classes that drives the characteristic-class
 formulas downstream.  That matrix takes no products of classes: its rows
-come from c(T_G) in one pass of Miller's recurrence for c(Q*)^m, with
-Pieri steps read from a per-box table; its columns c(S*^m)
+come from c(T_G) in one pass of Miller's recurrence for c(Q*)^m, on
+dense lists over the shape indices of partitions_in_box, with Pieri steps
+read from a per-box table of indices; its columns c(S*^m)
 are closed by the dual Cauchy identity and the hook-content formula, and
 Poincare duality reads each entry off the complement of a row's partition.
 
@@ -256,25 +258,24 @@ def bundle_power_chern(chern: list[ChowClass], m: int, dualize: bool = False) ->
 # Murnaghan-Nakayama rule, and Newton's identities turn p(T) into c(T).
 
 
-def _times_power_sum(box: Box, terms: dict[Partition, int], r: int) -> dict[Partition, int]:
-    """Product of sum c_lam s_lam with p_r(x), by the rim-hook rule on an
-    abacus of box.rows beads; shapes that leave the box are dropped."""
+def _rim_hooks(box: Box, lam: Partition) -> dict[int, list[tuple[Partition, int]]]:
+    """Every term of s_lam * p_r(x) in the box, for every r, by the rim-hook
+    rule on an abacus of box.rows beads: r -> [(nu, sign)].  One pass moves
+    each bead once to every free position above it, up to rows-1+cols (past
+    it a row is longer than cols); jumping h beads gives the sign (-1)^h."""
     rows = box.rows
-    top = rows - 1 + box.cols  # a bead past this position makes a row longer than cols
-    out: dict[Partition, int] = {}
-    for lam, c in terms.items():
-        beads = [(lam[i] if i < len(lam) else 0) + rows - 1 - i for i in range(rows)]
-        for i, b in enumerate(beads):
-            if b + r > top or b + r in beads:
+    padded = lam + (0,) * (rows - len(lam))
+    beads = [p + rows - 1 - i for i, p in enumerate(padded)]
+    out: dict[int, list[tuple[Partition, int]]] = {}
+    for i, b in enumerate(beads):
+        j = i  # the moved bead lands at index j, past the i - j beads it jumped
+        for q in range(b + 1, rows + box.cols):
+            if j and beads[j - 1] == q:
+                j -= 1
                 continue
-            jumped = sum(1 for other in beads if b < other < b + r)
-            moved = sorted(beads[:i] + [b + r] + beads[i + 1:], reverse=True)
-            parts = [p - (rows - 1 - j) for j, p in enumerate(moved)]
-            while parts and parts[-1] == 0:
-                parts.pop()
-            nu = tuple(parts)
-            out[nu] = out.get(nu, 0) + (-1) ** jumped * c
-    return {nu: c for nu, c in out.items() if c}
+            nu = lam[:j] + (q - rows + 1 + j,) + tuple(p + 1 for p in padded[j:i]) + lam[i + 1:]
+            out.setdefault(q - b, []).append((nu, -1 if (i - j) & 1 else 1))
+    return out
 
 
 def _divide_exactly(terms: dict[Partition, int], d: int, name: str) -> dict[Partition, int]:
@@ -291,23 +292,24 @@ def tangent_chern(box: Box) -> ChowClass:
     Schubert basis through Newton's identities
     j c_j(T) = sum_i (-1)^(i-1) c_(j-i)(T) p_i(T), run forward: each finished
     c_d adds (-1)^(i-1) c_d p_i(T) to j c_j(T) at j = d+i, from products
-    c_d p_t shared by every i.  Each s_lam p_r takes one rim-hook pass per
-    call, and the class is computed once per box.  A tall box (rows > cols)
+    c_d p_t shared by every i.  One rim-hook pass per shape lam gives s_lam p_r
+    for every r, and the class is computed once per box.  A tall box (rows > cols)
     takes the conjugate of the wide one's class: G(k, n) = G(n-k, n) swaps
     S* and Q, so it sends s_lam to s_lam'."""
     if box.rows > box.cols:
         wide = tangent_chern(Box(box.cols, box.rows))
         return ChowClass._trusted(box, {conjugate(lam): c for lam, c in wide.terms.items()})
-    memo: dict[tuple[Partition, int], dict[Partition, int]] = {}
+    memo: dict[Partition, dict[int, list[tuple[Partition, int]]]] = {}
 
     def times(terms: dict[Partition, int], r: int, scale: int, out: dict[Partition, int]) -> dict[Partition, int]:
         """out += scale * terms * p_r(x); returns out."""
         for lam, c in terms.items():
-            hit = memo.get((lam, r))
-            if hit is None:
-                hit = memo[lam, r] = _times_power_sum(box, {lam: 1}, r)
-            for nu, b in hit.items():
-                out[nu] = out.get(nu, 0) + scale * c * b
+            hooks = memo.get(lam)
+            if hooks is None:
+                hooks = memo[lam] = _rim_hooks(box, lam)
+            c *= scale
+            for nu, sign in hooks.get(r, ()):
+                out[nu] = out.get(nu, 0) + (c if sign > 0 else -c)
         return out
 
     rows, cols, dim = box.rows, box.cols, box.dim
@@ -329,14 +331,13 @@ def tangent_chern(box: Box) -> ChowClass:
 
 
 @lru_cache(maxsize=None)
-def _row_pieri(box: Box) -> dict[Partition, list[tuple[int, Partition]]]:
-    """For each lam in the box, every (e, nu) with s_nu a term of s_lam * s_(e)
-    in the box, e = 1..min(cols, dim - |lam|).  Built once per box."""
-    table: dict[Partition, list[tuple[int, Partition]]] = {}
-    for lam in partitions_in_box(box.rows, box.cols):
-        top = min(box.cols, box.dim - sum(lam))
-        table[lam] = [(e, nu) for e in range(1, top + 1) for nu in lr_expansion(lam, (e,)) if box.fits(nu)]
-    return table
+def _row_pieri(box: Box) -> list[list[tuple[int, int]]]:
+    """For the shape lam at each index of partitions_in_box, every (e, index
+    of nu) with s_nu a term of s_lam * s_(e) in the box, e = 1..min(cols,
+    dim - |lam|).  Built once per box."""
+    index = {lam: x for x, lam in enumerate(partitions_in_box(box.rows, box.cols))}  # nu is in the box iff it has one
+    return [[(e, index[nu]) for e in range(1, min(box.cols, box.dim - sum(lam)) + 1)
+             for nu in lr_expansion(lam, (e,)) if nu in index] for lam in index]
 
 
 @lru_cache(maxsize=None)
@@ -364,14 +365,23 @@ def a_matrix(m: int, n: int, k: int) -> list[list[int]]:
     check_params(m, n, k)
     box = Box(k, n - k)
     dim, top = box.dim, m * (n - k)
+    shapes = partitions_in_box(k, n - k)
     pieri = _row_pieri(box)
-    weight = {lam: _schur_at_ones(conjugate(box.complement(lam)), m) for lam in pieri}
-    sums = [tangent_chern(box).terms] + [{} for _ in range(dim)]  # j R_j at index j
+    weight = [_schur_at_ones(conjugate(box.complement(lam)), m) for lam in shapes]
+    column = [dim - sum(lam) for lam in shapes]
+    tangent = tangent_chern(box).terms
+    sums = [[tangent.get(lam, 0) for lam in shapes]] + [[0] * len(shapes) for _ in range(dim)]  # j R_j at index j
     matrix = [[0] * (top + 1) for _ in range(top + 1)]
     for j, acc in enumerate(sums):
-        for lam, c in _divide_exactly(acc, j, f"c(T) c_{j}(Q*^{m}) of box {k}x{n - k}").items():
-            matrix[j][j + dim - sum(lam)] += c * weight[lam]
-            for e, nu in pieri[lam]:
-                out = sums[j + e]
-                out[nu] = out.get(nu, 0) + (m * e - j) * (-c if e & 1 else c)
+        row, slots = matrix[j], sums[j:]
+        step = [(m * e - j) * (-1) ** e for e in range(n - k + 1)]
+        for x, c in enumerate(acc):
+            if not c:
+                continue
+            c, rem = divmod(c, max(j, 1))
+            if rem:
+                raise ConsistencyError(f"c(T) c_{j}(Q*^{m}) of box {k}x{n - k} is not integral at {shapes[x]}")
+            row[j + column[x]] += c * weight[x]
+            for e, y in pieri[x]:
+                slots[e][y] += step[e] * c
     return matrix

@@ -5,7 +5,8 @@ expanded by enumerating semistandard tableaux, products are raw polynomial
 multiplication, and Schur expansion works by peeling lex-leading monomials.
 The polynomial maps in the hyperplane class (the Chern-Mather contraction,
 the characteristic-cycle transform and the dual-variety involution) are
-written out as the explicit binomial sums they expand to.  The total Chern
+written out as the explicit binomial sums they expand to; the Chern-Mather
+contraction also as Horner's rule on lists, row by row of A.  The total Chern
 class of the tangent bundle of G(k, n) and the degree matrix A come from
 Atiyah-Bott localization over the torus fixed points, with no Schubert-ring
 code at all; the former power-sum route for c(T), which summed every term
@@ -47,6 +48,19 @@ def cm_triple_sum(A, m, n, k):
                 l = m * k + j - p
                 if 0 <= l <= N:
                     gamma[l] += A[i][p] * _binom(top - i, j - i)
+    return gamma
+
+
+def cm_list_horner(A, m, n, k):
+    """The same coefficients by Horner's rule in (1+H) over all m(n-k)+1 rows
+    of A, on plain lists of length mn: gamma <- gamma (1+H) + row i, row i
+    being sum_p A[i][p] H^(mk+i-p), and H^mn dropped at every step."""
+    gamma = [0] * (m * n)
+    for i, row in enumerate(A):
+        gamma = [a + b for a, b in zip(gamma, [0] + gamma)]
+        for p, a in enumerate(row):
+            if a:
+                gamma[m * k + i - p] += a
     return gamma
 
 
@@ -250,18 +264,25 @@ def tangent_chern_all_terms(box):
     p_j(T) = sum_t C(j,t) p_t(x) p_(j-t)(y), two rim-hook passes each, and
     Newton's identities j c_j = sum_i (-1)^(i-1) c_(j-i) p_i(T) summed
     backwards for each j."""
-    from detchern.schubert import _times_power_sum
+    from detchern.schubert import _rim_hooks
+
+    def times_power_sum(terms, r):
+        out = {}
+        for lam, c in terms.items():
+            for nu, sign in _rim_hooks(box, lam).get(r, ()):
+                out[nu] = out.get(nu, 0) + sign * c
+        return out
 
     def times_tangent_power_sum(terms, j):
         out = {}
         for t in range(j + 1):
             piece, scale = terms, comb(j, t)
             if t:
-                piece = _times_power_sum(box, piece, t)
+                piece = times_power_sum(piece, t)
             else:
                 scale *= box.rows
             if t < j:
-                piece = _times_power_sum(box, piece, j - t)
+                piece = times_power_sum(piece, j - t)
                 scale *= (-1) ** (j - t - 1)
             else:
                 scale *= box.cols

@@ -1,9 +1,10 @@
+import inspect
 from math import factorial, prod
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from detchern import tables
+from detchern import classes, tables
 from detchern.classes import (
     ProjClass,
     StrataVector,
@@ -24,9 +25,9 @@ from detchern.lagrangian import BiProjClass
 from detchern.partitions import binom
 from detchern.schubert import a_matrix
 
-from oracles import cm_triple_sum, minus_one_minus_t_sum
+from oracles import cm_list_horner, cm_triple_sum, minus_one_minus_t_sum
 
-# long thin boxes: many Horner rounds (m(n-k) + 1, up to 51) over a Grassmannian of <= 6 cells
+# long thin boxes: A of size m(n-k) + 1, up to 51, over a Grassmannian of <= 6 cells
 THIN_MN = [(12, 2), (20, 2), (16, 3), (12, 4), (10, 5)]
 
 
@@ -199,6 +200,55 @@ def test_trace_formula_matches_closed_sum(m, n):
 def test_cm_horner_matches_triple_sum(m, n, k):
     gamma = cm_triple_sum(a_matrix(m, n, k), m, n, k)
     assert cm_class(m, n, k) == ProjClass.from_h_coefficients(gamma)
+
+
+def cm_by_list_horner(m, n, k):
+    A = a_matrix(m, n, k) if k else [[1]] + [[]] * (m * n)  # G(0, n) is a point
+    return ProjClass.from_h_coefficients(cm_list_horner(A, m, n, k))
+
+
+def mnk_up_to(m):
+    return [(m, n, k) for n in range(2, m + 1) for k in range(n)]
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_cm_kronecker_pass_matches_list_horner(m):
+    for key in mnk_up_to(m):
+        assert cm_class(*key) == cm_by_list_horner(*key), key
+
+
+@pytest.mark.parametrize("m,n,k", [(200, 2, 1), (2000, 2, 1), (300, 4, 2), (12, 12, 6)])
+def test_cm_kronecker_pass_matches_list_horner_at_large_m(m, n, k):
+    assert cm_class(m, n, k) == cm_by_list_horner(m, n, k)
+
+
+def test_cm_digit_width_one_byte_short_is_caught():
+    # a copy of cm_class with one byte less per digit must give a wrong
+    # class (not only an overflow) on a case the list-Horner test compares
+    source = inspect.getsource(classes.cm_class)
+    exact = "+ top + 9) // 8"
+    assert source.count(exact) == 1
+    namespace = dict(vars(classes), _CM_CACHE={})
+    exec(compile(source.replace(exact, "+ top + 1) // 8"), classes.__file__, "exec"), namespace)
+    short = namespace["cm_class"]
+
+    def wrong(key):
+        try:
+            return short(*key) != cm_by_list_horner(*key)
+        except (OverflowError, ValueError):
+            return False
+
+    assert any(wrong(key) for m in range(2, 13) for key in mnk_up_to(m))
+
+
+def test_trace_route_visits_only_the_nonzero_entries_of_a(monkeypatch):
+    calls = []
+    monkeypatch.setattr(classes, "binom", lambda a, b: calls.append((a, b)) or binom(a, b))
+    for m, n, k in [(200, 2, 1), (30, 4, 2), (9, 9, 4)]:
+        calls.clear()
+        nonzero = sum(1 for row in a_matrix(m, n, k) for a in row if a)
+        assert cm_class_via_trace(m, n, k) == cm_class(m, n, k)
+        assert 0 < len(calls) <= nonzero * (m * (n - k) + 1), (m, n, k)
 
 
 @given(st.lists(st.integers(-50, 50), max_size=25))

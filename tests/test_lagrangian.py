@@ -3,9 +3,9 @@ from math import comb
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from detchern import tables
+from detchern import lagrangian, tables
 from detchern.classes import ProjClass, cm_class, csm_class, csm_open, variety_dim
-from detchern.errors import ParameterError
+from detchern.errors import ConsistencyError, ParameterError
 from detchern.lagrangian import (
     BiProjClass,
     ch_from_class,
@@ -122,6 +122,28 @@ def test_polar_degree_zero_is_degree():
     assert polar_degrees(4, 2, 1)[0] == 4
     for n in (2, 3):
         assert polar_degrees(n, n, n - 1)[0] == comb(2 * n - 2, n - 1)
+
+
+def polar_class_sum(m, n, k):
+    """The polar-class degrees written out:
+    delta_l = sum_(i<=l) binom(d-i+1, d-l+1) (-1)^i beta_(d-i), beta = c_M."""
+    d = variety_dim(m, n, k)
+    beta = cm_class(m, n, k).coeffs
+    return [sum(comb(d - i + 1, d - l + 1) * (-1) ** i * beta[d - i] for i in range(l + 1)) for l in range(d + 1)]
+
+
+@pytest.mark.parametrize("m,n", pairs_mn(40) + [(12, 12), (30, 2)])
+def test_polar_degrees_match_the_explicit_binomial_sum(m, n):
+    for k in range(1, n):
+        assert polar_degrees(m, n, k) == polar_class_sum(m, n, k), (m, n, k)
+
+
+def test_polar_degrees_refuse_a_forged_conormal_cycle(monkeypatch):
+    real = conormal(5, 4, 2)
+    forged = BiProjClass(real.N, [c + (i == 9) for i, c in enumerate(real.coeffs)])
+    monkeypatch.setattr(lagrangian, "conormal", lambda m, n, k: forged)
+    with pytest.raises(ConsistencyError, match=r"polar degree routes disagree for \(5,4,2\)"):
+        polar_degrees(5, 4, 2)
 
 
 @pytest.mark.parametrize("m,n,k,value", tables.GED)

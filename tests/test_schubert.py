@@ -31,7 +31,7 @@ from detchern.schubert import (
     tangent_chern,
     zero,
 )
-from detchern.schubert import _divide_exactly, _schur_at_ones, _times_power_sum
+from detchern.schubert import _divide_exactly, _rim_hooks, _schur_at_ones
 
 from oracles import a_matrix_localized, schur_product_in_box, tangent_chern_all_terms, tangent_chern_localized
 
@@ -226,19 +226,38 @@ def test_tangent_chern_first_chern_class(rows, cols):
     assert degree_one == {(1,): rows + cols}
 
 
-@given(box_and_partitions(count=1), st.integers(1, 10))
-@settings(max_examples=60, deadline=None)
-def test_power_sum_rim_hook_rule_matches_lr(data, r):
-    # p_r = sum_a (-1)^a s_(r-a, 1^a), the hooks of size r
-    box, (lam,) = data
+def lr_hooks(box, lam, r):
+    """s_lam * p_r in the box from p_r = sum_a (-1)^a s_(r-a, 1^a), the hooks of size r."""
     want: dict = {}
     for a in range(r):
-        hook = (r - a,) + (1,) * a
-        for nu, c in lr_expansion(lam, hook).items():
+        for nu, c in lr_expansion(lam, (r - a,) + (1,) * a).items():
             if box.fits(nu):
                 want[nu] = want.get(nu, 0) + (-1) ** a * c
-    want = {nu: c for nu, c in want.items() if c}
-    assert _times_power_sum(box, {lam: 1}, r) == want
+    return {nu: c for nu, c in want.items() if c}
+
+
+def assert_rim_hooks_match_lr(box, lam):
+    # one bead pass gives s_lam * p_r for every r; past rows + cols - 1 no bead can move that far
+    hooks = _rim_hooks(box, lam)
+    assert all(1 <= r < box.rows + box.cols for r in hooks), (box, lam)
+    for r in range(1, box.rows + box.cols + 2):
+        terms = hooks.get(r, [])
+        assert len({nu for nu, _ in terms}) == len(terms), (box, lam, r)
+        assert dict(terms) == lr_hooks(box, lam, r), (box, lam, r)
+
+
+@given(box_and_partitions(count=1))
+@settings(max_examples=60, deadline=None)
+def test_power_sum_rim_hook_rule_matches_lr(data):
+    box, (lam,) = data
+    assert_rim_hooks_match_lr(box, lam)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 6), (6, 1), (2, 5), (4, 3), (3, 4), (4, 4)])
+def test_rim_hook_pass_matches_lr_on_every_shape(rows, cols):
+    box = boxed(rows, cols)
+    for lam in partitions_in_box(rows, cols):
+        assert_rim_hooks_match_lr(box, lam)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -275,36 +294,38 @@ def test_tangent_chern_matches_all_terms_route():
         assert tangent_chern(box).terms == tangent_chern_all_terms(box), (rows, cols)
 
 
-def test_tangent_chern_takes_one_rim_hook_pass_per_shape_and_power(monkeypatch):
+def test_tangent_chern_takes_one_rim_hook_pass_per_shape(monkeypatch):
     calls = Counter()
-    real = schubert._times_power_sum
+    real = schubert._rim_hooks
 
-    def counting(box, terms, r):
-        calls.update((lam, r) for lam in terms)
-        return real(box, terms, r)
+    def counting(box, lam):
+        calls[box, lam] += 1
+        return real(box, lam)
 
-    monkeypatch.setattr(schubert, "_times_power_sum", counting)
+    monkeypatch.setattr(schubert, "_rim_hooks", counting)
     tangent_chern.cache_clear()
     try:
         assert integrate(tangent_chern(boxed(4, 4))) == binom(8, 4)
     finally:
         tangent_chern.cache_clear()
     assert calls and max(calls.values()) == 1
+    assert {box for box, _ in calls} == {boxed(4, 4)}
 
 
 def test_tall_box_takes_its_tangent_class_from_the_transposed_box(monkeypatch):
     calls = Counter()
-    real = schubert._times_power_sum
+    real = schubert._rim_hooks
 
-    def counting(box, terms, r):
-        calls[box.rows, box.cols] += 1
-        return real(box, terms, r)
+    def counting(box, lam):
+        calls[box.rows, box.cols, lam] += 1
+        return real(box, lam)
 
-    monkeypatch.setattr(schubert, "_times_power_sum", counting)
+    monkeypatch.setattr(schubert, "_rim_hooks", counting)
     tangent_chern.cache_clear()
     try:
         wide = tangent_chern(boxed(2, 4))
-        assert calls[2, 4] > 0
+        assert calls and max(calls.values()) == 1
+        assert {(rows, cols) for rows, cols, _ in calls} == {(2, 4)}
         calls.clear()
         tall = tangent_chern(boxed(4, 2))
     finally:
@@ -371,6 +392,17 @@ def test_divide_exactly_drops_zeros_and_names_a_remainder():
     assert _divide_exactly({(): 5, (1,): 0}, 0, "x") == {(): 5}
     with pytest.raises(ConsistencyError, match=r"c_2\(T\) of box 2x2 is not integral at \(2,\)"):
         _divide_exactly({(1, 1): 4, (2,): 3}, 2, "c_2(T) of box 2x2")
+
+
+def test_a_matrix_names_a_remainder_of_the_miller_pass(monkeypatch):
+    # drop the Pieri term s_() * s_(1) = s_(1): i R_i is no longer divisible by i
+    box = boxed(2, 2)
+    forged = [list(terms) for terms in schubert._row_pieri(box)]
+    assert forged[0][0] == (1, partitions_in_box(2, 2).index((1,)))
+    del forged[0][0]
+    monkeypatch.setattr(schubert, "_row_pieri", lambda b: forged)
+    with pytest.raises(ConsistencyError, match=r"c\(T\) c_3\(Q\*\^4\) of box 2x2 is not integral at \(2, 1\)"):
+        a_matrix(4, 4, 2)
 
 
 def test_a_matrix_takes_no_class_products(monkeypatch):
