@@ -502,7 +502,8 @@ def run(argv) -> int:
             except OSError as exc:
                 print(f"warning: could not save cache to {cache_dir}: {exc}", file=sys.stderr)
     except (ParameterError, BoxSizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a refused box names the flag that raises the limit, not the library call
+        print(f"error: {str(exc).replace('set_box_cell_limit()', '--max-box')}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)

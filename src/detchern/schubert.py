@@ -18,7 +18,10 @@ products of those Chern classes that drives the characteristic-class
 formulas downstream.  That matrix takes no products of classes: its rows
 come from c(T_G) in one pass of Miller's recurrence for c(Q*)^m, on
 dense lists over the shape indices of partitions_in_box, with Pieri steps
-read from a per-box table of indices; its columns c(S*^m)
+along the short side of the box: s_(e), e <= n-k, if k >= n-k, and else
+s_(1^e), e <= k, since c(Q*) = c(S*)^(-1) makes c(Q*)^m = c(S*)^(-m), with
+step -(me + j) from degree j; that is row Pieri in the transposed box, so
+a box and its transpose share one per-box table.  Its columns c(S*^m)
 are closed by the dual Cauchy identity and the hook-content formula, and
 Poincare duality reads each entry off the complement of a row's partition.
 
@@ -331,13 +334,20 @@ def tangent_chern(box: Box) -> ChowClass:
 
 
 @lru_cache(maxsize=None)
-def _row_pieri(box: Box) -> list[list[tuple[int, int]]]:
-    """For the shape lam at each index of partitions_in_box, every (e, index
-    of nu) with s_nu a term of s_lam * s_(e) in the box, e = 1..min(cols,
-    dim - |lam|).  Built once per box."""
-    index = {lam: x for x, lam in enumerate(partitions_in_box(box.rows, box.cols))}  # nu is in the box iff it has one
-    return [[(e, index[nu]) for e in range(1, min(box.cols, box.dim - sum(lam)) + 1)
-             for nu in lr_expansion(lam, (e,)) if nu in index] for lam in index]
+def _row_pieri(box: Box) -> tuple:
+    """What the row-Pieri pass of a_matrix reads of a box with rows >= cols, none
+    of it depending on m, built once per box: the shapes lam of partitions_in_box;
+    for each, every (e, index of nu) with s_nu a term of s_lam * s_(e) in the box,
+    e = 1..min(cols, dim - |lam|); the column offset dim - |lam|; the dense row of
+    c(T_G); the complement of lam and its conjugate."""
+    shapes = partitions_in_box(box.rows, box.cols)
+    index = {lam: x for x, lam in enumerate(shapes)}  # nu is in the box iff it has one
+    pieri = [[(e, index[nu]) for e in range(1, min(box.cols, box.dim - sum(lam)) + 1)
+              for nu in lr_expansion(lam, (e,)) if nu in index] for lam in shapes]
+    tangent = tangent_chern(box).terms
+    complements = [box.complement(lam) for lam in shapes]
+    return (shapes, pieri, [box.dim - sum(lam) for lam in shapes], [tangent.get(lam, 0) for lam in shapes],
+            complements, [conjugate(mu) for mu in complements])
 
 
 @lru_cache(maxsize=None)
@@ -356,31 +366,35 @@ def a_matrix(m: int, n: int, k: int) -> list[list[int]]:
     """Square integer matrix of size m(n-k)+1 whose (i, p) entry is the
     degree of c(T_G) c_i(Q*^m) c_(p-i)(S*^m) on G(k, n); zero for i > p.
 
-    Rows: R_i = c(T_G) c_i(Q*^m) by Miller's recurrence for a power, i R_i =
-    sum_e ((m+1)e - i) c_e(Q*) R_(i-e), run forward from R_0 = c(T_G): a term
-    c s_lam of a finished R_j adds (me - j)(-1)^e c s_nu to i R_i, i = j+e, per
-    Pieri term (e, nu) of lam.  Columns: c_j(S*^m) = sum_{|mu|=j} s_mu'(1^m) s_mu
-    (dual Cauchy), so c s_lam in R_i adds c s_mu'(1^m) at p = i + |mu|, mu its complement.
+    Rows: R_i = c(T_G) c_i(Q*^m) by Miller's recurrence for a power, run
+    forward from R_0 = c(T_G), its Pieri factor along the short side.  If
+    k >= n-k, i R_i = sum_e ((m+1)e - i) c_e(Q*) R_(i-e): a term c s_lam of a
+    finished R_j adds (me - j)(-1)^e c s_nu to i R_i, i = j+e, per term s_nu of
+    s_lam s_(e).  If k < n-k, c(Q*)^m = c(S*)^(-m) (c(S*) c(Q*) = 1) gives the step
+    -(me + j) per term of s_lam s_(1^e): row Pieri on lam' in the transposed box.
+    Columns: c_j(S*^m) = sum_{|mu|=j} s_mu'(1^m) s_mu (dual Cauchy), so c s_lam
+    in R_i adds c s_mu'(1^m) at p = i + |mu|, mu its complement (in the
+    transposed box, s_mu(1^m) of the complement mu of lam').
     """
     check_params(m, n, k)
+    wide = k < n - k
     box = Box(k, n - k)
+    box = Box(box.cols, box.rows) if wide else box  # rows >= cols
+    shapes, pieri, column, tangent, complements, conjugates = _row_pieri(box)
+    weight = [_schur_at_ones(mu, m) for mu in (complements if wide else conjugates)]
     dim, top = box.dim, m * (n - k)
-    shapes = partitions_in_box(k, n - k)
-    pieri = _row_pieri(box)
-    weight = [_schur_at_ones(conjugate(box.complement(lam)), m) for lam in shapes]
-    column = [dim - sum(lam) for lam in shapes]
-    tangent = tangent_chern(box).terms
-    sums = [[tangent.get(lam, 0) for lam in shapes]] + [[0] * len(shapes) for _ in range(dim)]  # j R_j at index j
+    sums = [list(tangent)] + [[0] * len(shapes) for _ in range(dim)]  # j R_j at index j
     matrix = [[0] * (top + 1) for _ in range(top + 1)]
     for j, acc in enumerate(sums):
         row, slots = matrix[j], sums[j:]
-        step = [(m * e - j) * (-1) ** e for e in range(n - k + 1)]
+        step = [-(m * e + j) if wide else (m * e - j) * (-1) ** e for e in range(box.cols + 1)]
         for x, c in enumerate(acc):
             if not c:
                 continue
             c, rem = divmod(c, max(j, 1))
-            if rem:
-                raise ConsistencyError(f"c(T) c_{j}(Q*^{m}) of box {k}x{n - k} is not integral at {shapes[x]}")
+            if rem:  # name the partition of the box asked for
+                lam = conjugate(shapes[x]) if wide else shapes[x]
+                raise ConsistencyError(f"c(T) c_{j}(Q*^{m}) of box {k}x{n - k} is not integral at {lam}")
             row[j + column[x]] += c * weight[x]
             for e, y in pieri[x]:
                 slots[e][y] += step[e] * c

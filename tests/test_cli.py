@@ -16,7 +16,7 @@ from detchern.cli import (
     run,
     scan_conjectures,
 )
-from detchern.errors import ParameterError
+from detchern.errors import BoxSizeError, ParameterError
 from detchern.lagrangian import SymmetryReport
 
 
@@ -112,6 +112,17 @@ def test_max_box_below_one_names_the_flag(capsys, limit):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: --max-box: the box cell limit must be at least 1, got {limit}\n")
     assert schubert._box_cell_limit == schubert.DEFAULT_BOX_CELL_LIMIT
+
+
+def test_refused_box_names_the_flag(capsys, monkeypatch):
+    # csm runs every stratum; the rank-2 one needs box 2x3, past the limit of 4
+    monkeypatch.setattr(classes, "_CM_CACHE", {})  # a cached class builds no box
+    code, out, err = invoke(capsys, "csm", "-m", "5", "-n", "5", "-k", "1", "--max-box", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: box 2x3 exceeds the cell limit 4; raise it with --max-box\n")
+    assert schubert._box_cell_limit == schubert.DEFAULT_BOX_CELL_LIMIT
+    with pytest.raises(BoxSizeError, match=r"raise it with set_box_cell_limit\(\)$"):
+        schubert.Box(6, 7)
 
 
 USAGE = """usage: detchern [-h]

@@ -381,6 +381,8 @@ def test_a_matrix_matches_general_product_formula(m, n, k):
 @pytest.mark.parametrize("m,n,k", [
     (3, 3, 1), (4, 3, 2), (5, 5, 2), (6, 6, 3), (7, 7, 3), (8, 8, 4),
     (9, 9, 4), (9, 9, 2), (9, 9, 7), (8, 5, 2), (9, 8, 5), (10, 10, 5),
+    # wide boxes and their transposes: one Pieri table serves both
+    (10, 10, 2), (10, 10, 8), (11, 11, 3), (11, 11, 8), (20, 4, 1), (20, 4, 3), (9, 9, 1), (9, 9, 8),
 ])
 def test_a_matrix_matches_localization(m, n, k):
     # Atiyah-Bott over the k-subsets: no partitions, no Pieri table, no c(T_G)
@@ -397,12 +399,39 @@ def test_divide_exactly_drops_zeros_and_names_a_remainder():
 def test_a_matrix_names_a_remainder_of_the_miller_pass(monkeypatch):
     # drop the Pieri term s_() * s_(1) = s_(1): i R_i is no longer divisible by i
     box = boxed(2, 2)
-    forged = [list(terms) for terms in schubert._row_pieri(box)]
+    shapes, pieri, *rest = schubert._row_pieri(box)
+    forged = [list(terms) for terms in pieri]
     assert forged[0][0] == (1, partitions_in_box(2, 2).index((1,)))
     del forged[0][0]
-    monkeypatch.setattr(schubert, "_row_pieri", lambda b: forged)
+    monkeypatch.setattr(schubert, "_row_pieri", lambda b: (shapes, forged, *rest))
     with pytest.raises(ConsistencyError, match=r"c\(T\) c_3\(Q\*\^4\) of box 2x2 is not integral at \(2, 1\)"):
         a_matrix(4, 4, 2)
+
+
+def test_a_matrix_on_a_wide_box_names_a_remainder_in_that_box(monkeypatch):
+    # box 2x4 runs its pass in the transposed box 4x2, which holds (2, 2, 2, 1);
+    # the message names the partition of the box asked for, (4, 3)
+    shapes, pieri, *rest = schubert._row_pieri(boxed(4, 2))
+    forged = [list(terms) for terms in pieri]
+    assert forged[0][0] == (1, shapes.index((1,)))
+    del forged[0][0]
+    monkeypatch.setattr(schubert, "_row_pieri", lambda b: (shapes, forged, *rest))
+    with pytest.raises(ConsistencyError, match=r"c\(T\) c_7\(Q\*\^6\) of box 2x4 is not integral at \(4, 3\)$"):
+        a_matrix(6, 6, 2)
+
+
+def test_a_wide_box_multiplies_along_its_short_side_and_shares_the_table(monkeypatch):
+    # c(Q*)^m = c(S*)^(-m): box 2x5 asks only for s_(e) with e <= 2, in the
+    # transposed box, whose table then serves G(5, 7) as it is
+    calls = []
+    real = schubert.lr_expansion
+    monkeypatch.setattr(schubert, "lr_expansion", lambda lam, mu: calls.append((lam, mu)) or real(lam, mu))
+    schubert._row_pieri.cache_clear()
+    a_matrix(7, 7, 2)
+    assert calls and {mu for _, mu in calls} == {(1,), (2,)}
+    calls.clear()
+    a_matrix(7, 7, 5)
+    assert not calls
 
 
 def test_a_matrix_takes_no_class_products(monkeypatch):
