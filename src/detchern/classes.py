@@ -39,7 +39,7 @@ from operator import add, mul, neg
 from ._record import FrozenRecord
 from .errors import ConsistencyError, ParameterError, check_params
 from .partitions import binom
-from .schubert import a_matrix
+from .schubert import Box, a_matrix
 
 
 class CoeffVector:
@@ -215,8 +215,11 @@ def cm_class(m: int, n: int, k: int) -> ProjClass:
     r_i = sum_p A[i][p] H^(dim+i-p): a Kronecker substitution (module
     docstring) that runs Horner's rule q <- q + qX + r_i and multiplies once
     by the packed row of binom(top-dim, j).  Each coefficient is a sum of
-    A[i][p] binom(top-i, .).  For k = 0, G(0, n) is a point and A = [[1]]."""
+    A[i][p] binom(top-i, .).  For k = 0, G(0, n) is a point and A = [[1]].
+    The box cell limit applies to a memoized class too."""
     check_params(m, n, k, k_min=0)
+    if k:
+        Box(k, n - k)
     key = (m, n, k)
     hit = _CM_CACHE.get(key)
     if hit is not None:

@@ -5,7 +5,10 @@ function that computes it; it drives the subcommands, the documents
 (rendered as JSON, CSV or markdown) and the replay of the bundled reference
 tables.  Three reports, `symmetry`, `scan` and `tables`, check the flip
 symmetries, the effectivity/vanishing conjectures and the reference tables.
-Computed Chern-Mather classes persist across runs in `cm.json`.
+Computed Chern-Mather classes persist across runs in `cm.json`.  One
+function, `_check_closed_forms`, holds the closed forms that share no code
+with the engine; it gates every entry of `cm.json` on load and every class
+`--check` computes.  A file that fails it is rebuilt like any corrupt one.
 
 Every command is a fresh process, so importing this module does only what
 every command needs: it imports no `dataclasses` (see `_record`), loads the
@@ -85,15 +88,13 @@ class OutputDocument(Record):
         return cls(**json.loads(blob))
 
     def to_csv(self) -> str:
-        if isinstance(self.coefficients, list) and self.coefficients and isinstance(self.coefficients[0], list):
+        if self.basis == "matrix":
             return "\n".join(",".join(row) for row in self.coefficients)
-        if isinstance(self.coefficients, list):
-            return ",".join(self.coefficients)
-        return str(self.coefficients)
+        return ",".join(self.coefficients)
 
     def to_markdown(self) -> str:
         labels = self._labels()
-        if isinstance(self.coefficients, list) and self.coefficients and isinstance(self.coefficients[0], list):
+        if self.basis == "matrix":
             size = len(self.coefficients[0])
             head = "| i\\p | " + " | ".join(str(p) for p in range(size)) + " |"
             sep = "|" + "---|" * (size + 1)
@@ -225,14 +226,12 @@ def reproduce_reference_tables(fixtures=None) -> TableReport:
 # from them or recomputed faster than a larger file loads.
 
 
-def load_caches(cache_dir: str, check: bool = False) -> dict | None | bool:
+def load_caches(cache_dir: str, check: bool = False) -> dict | None:
     """Seed the Chern-Mather cache from cm.json; returns the entries when the
     file loaded cleanly, None when it is missing, stale or corrupt (run then
-    rewrites it).  A well-formed entry that contradicts a closed form (the
-    Porteous degree at [P^dim], the Euler characteristic mn C(n-1, k) of the
-    Euler obstruction at [P^0]) is a forgery: the file is ignored but left as
-    it is, returning False, and under `check` it is a ConsistencyError that
-    names the file."""
+    rewrites it).  Every entry must pass _check_closed_forms: a file with
+    one that does not is corrupt like any other, and under `check` it is a
+    ConsistencyError that names the file (the file is then left as it is)."""
     path = os.path.join(cache_dir, "cm.json")
     if not os.path.exists(path):
         return None
@@ -254,21 +253,13 @@ def load_caches(cache_dir: str, check: bool = False) -> dict | None | bool:
             d = variety_dim(m, n, k)
             if any(values[d + 1:]):
                 raise ValueError(f"entry {key!r} is not the class of a {d}-dimensional variety")
-            # closed forms that share no code with the engine
-            degree, euler = _porteous_degree(m, n, k), m * n * comb(n - 1, k)
-            if values[d] != degree:
-                raise ConsistencyError(f"entry {key!r} has {values[d]} at [P^{d}], not the degree {degree}")
-            if values[0] != euler:
-                raise ConsistencyError(f"entry {key!r} has {values[0]} at [P^0], not the Euler characteristic {euler}")
+            _check_closed_forms("cm", m, n, k, values)
             entries[(m, n, k)] = values
         cm_cache_import(entries)
         return entries
-    except ConsistencyError as exc:
-        if check:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ConsistencyError) as exc:
+        if check and isinstance(exc, ConsistencyError):
             raise ConsistencyError(f"cache {path}: {exc}") from None
-        print(f"warning: ignoring corrupt cache {path}: {exc}; the file is left as it is", file=sys.stderr)
-        return False
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"warning: ignoring corrupt cache {path}: {exc}", file=sys.stderr)
         return None
 
@@ -347,30 +338,29 @@ def _porteous_degree(m: int, n: int, k: int) -> int:
     return num // den
 
 
-def _check_closed_forms(m: int, n: int, k: int) -> None:
-    """Closed forms that share no code with the Schubert engine: every class
-    of tau(m, n, k) has the Porteous degree at [P^dim], and a c_SM class has
-    the Euler characteristic at [P^0].  The torus scaling rows and columns
-    fixes only the mn matrix units, all of rank one, so that is mn for the
+def _check_closed_forms(name: str, m: int, n: int, k: int, coeffs: tuple[int, ...]) -> None:
+    """The one gate on closed forms that share no code with the Schubert
+    engine, for the `cm`, `csm` or `csm_open` class of tau(m, n, k) (`name`):
+    every class has the Porteous degree at [P^dim], and each has its Euler
+    characteristic at [P^0].  The torus scaling rows and columns fixes only
+    the mn matrix units, all of rank one, so that is mn times the Euler
+    obstruction binom(n-1, k) on the rank-one stratum for c_M, mn for the
     closed variety, and for the open stratum mn when k = n-1, 0 otherwise."""
     d, degree = variety_dim(m, n, k), _porteous_degree(m, n, k)
-    euler = {"csm": m * n, "csm_open": m * n if k == n - 1 else 0}
-    for name, cls in (("cm", cm_class(m, n, k)), ("csm", csm_class(m, n, k)), ("csm_open", csm_open(m, n, k))):
-        if cls.coefficient(d) != degree:
-            raise ConsistencyError(
-                f"{name} of ({m},{n},{k}) has {cls.coefficient(d)} at [P^{d}], not the degree {degree}"
-            )
-        if name in euler and cls.coefficient(0) != euler[name]:
-            raise ConsistencyError(
-                f"{name} of ({m},{n},{k}) has {cls.coefficient(0)} at [P^0], "
-                f"not the Euler characteristic {euler[name]}"
-            )
+    euler = {"cm": m * n * comb(n - 1, k), "csm": m * n, "csm_open": m * n if k == n - 1 else 0}[name]
+    if coeffs[d] != degree:
+        raise ConsistencyError(f"{name} of ({m},{n},{k}) has {coeffs[d]} at [P^{d}], not the degree {degree}")
+    if coeffs[0] != euler:
+        raise ConsistencyError(
+            f"{name} of ({m},{n},{k}) has {coeffs[0]} at [P^0], not the Euler characteristic {euler}"
+        )
 
 
 def _run_checks(kind: str, m: int, n: int, k: int) -> None:
     """Cross-route assertions behind --check."""
     if kind in {"cm", "csm", "csm_open"}:
-        _check_closed_forms(m, n, k)
+        for name in ("cm", "csm", "csm_open"):
+            _check_closed_forms(name, m, n, k, KINDS[name][1](m, n, k))
         for kk in range(max(k, 1), n):
             if cm_class_via_trace(m, n, kk) != cm_class(m, n, kk):
                 raise ConsistencyError(f"trace route disagrees at ({m},{n},{kk})")
@@ -494,9 +484,8 @@ def run(argv) -> int:
                 print("\n".join(lines))
             if not ok:
                 return 3
-        # a file that loaded cleanly and already holds every entry stays as it is,
-        # and so does a forged one (loaded is False)
-        if cache_dir and loaded is not False and cm_cache_export() != loaded:
+        # a file that loaded cleanly and already holds every entry stays as it is
+        if cache_dir and cm_cache_export() != loaded:
             try:
                 save_caches(cache_dir)
             except OSError as exc:

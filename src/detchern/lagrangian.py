@@ -28,6 +28,7 @@ from ._record import Record
 from .classes import CoeffVector, ProjClass, at_minus_one_minus_t, cm_class, strata_sum, variety_dim
 from .errors import ConsistencyError, ParameterError, check_params
 from .partitions import binom
+from .schubert import Box
 
 
 class BiProjClass(CoeffVector):
@@ -77,8 +78,10 @@ _CON_CACHE: dict[tuple[int, int, int], BiProjClass] = {}
 def conormal(m: int, n: int, k: int) -> BiProjClass:
     """Projectivized conormal cycle of tau(m, n, k): the characteristic
     cycle of its local Euler obstruction, normalized by (-1)^dim so all
-    coefficients are nonnegative polar degrees."""
+    coefficients are nonnegative polar degrees.  The box cell limit applies
+    to a memoized cycle too."""
     check_params(m, n, k)
+    Box(k, n - k)
     key = (m, n, k)
     hit = _CON_CACHE.get(key)
     if hit is None:

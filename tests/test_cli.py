@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from detchern import classes, cli, schubert
+from detchern import classes, cli, lagrangian, schubert
+from detchern.classes import ProjClass
 from detchern.cli import (
     CACHE_VERSION,
     OutputDocument,
@@ -114,15 +115,25 @@ def test_max_box_below_one_names_the_flag(capsys, limit):
     assert schubert._box_cell_limit == schubert.DEFAULT_BOX_CELL_LIMIT
 
 
-def test_refused_box_names_the_flag(capsys, monkeypatch):
+def test_refused_box_names_the_flag(capsys):
     # csm runs every stratum; the rank-2 one needs box 2x3, past the limit of 4
-    monkeypatch.setattr(classes, "_CM_CACHE", {})  # a cached class builds no box
     code, out, err = invoke(capsys, "csm", "-m", "5", "-n", "5", "-k", "1", "--max-box", "4")
     assert (code, out) == (2, "")
     assert err.startswith("error: box 2x3 exceeds the cell limit 4; raise it with --max-box\n")
     assert schubert._box_cell_limit == schubert.DEFAULT_BOX_CELL_LIMIT
     with pytest.raises(BoxSizeError, match=r"raise it with set_box_cell_limit\(\)$"):
         schubert.Box(6, 7)
+
+
+def test_warm_cache_refuses_a_box_past_the_limit(capsys, tmp_path, monkeypatch):
+    # a class read from cm.json is refused like one computed: the limit is a
+    # property of the request, so the cache changes no exit code
+    argv = ["csm", "-m", "5", "-n", "5", "-k", "1", "--cache-dir", str(tmp_path)]
+    assert invoke(capsys, *argv)[0] == 0
+    monkeypatch.setattr(classes, "_CM_CACHE", {})  # the classes come from the file
+    code, out, err = invoke(capsys, *argv, "--max-box", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: box 2x3 exceeds the cell limit 4; raise it with --max-box\n")
 
 
 USAGE = """usage: detchern [-h]
@@ -234,17 +245,50 @@ def forge_cm_entry(tmp_path, key, index, delta):
     (tmp_path / "cm.json").write_text(json.dumps(payload))
 
 
+def assert_forged_cache_is_named_then_rebuilt(capsys, monkeypatch, cache, argv, key, why):
+    # --check exits 3 naming the file and leaves it as it is; a plain run warns,
+    # answers as a run without the cache does and rewrites the entry to the true
+    # class, which a second --check then accepts
+    path = cache / "cm.json"
+    text = path.read_text()
+    code, out, err = invoke(capsys, *argv, "--check", "--cache-dir", str(cache))
+    assert code == 3 and out == ""
+    assert f"consistency failure: cache {path}: {why}" in err and "Traceback" not in err
+    assert path.read_text() == text
+    truth = invoke(capsys, *argv)
+    assert truth[0] == 0
+    monkeypatch.setattr(classes, "_CM_CACHE", {})  # nothing memoized hides the file
+    monkeypatch.setattr(lagrangian, "_CON_CACHE", {})
+    code, out, err = invoke(capsys, *argv, "--cache-dir", str(cache))
+    assert (code, out) == (0, truth[1])
+    assert f"warning: ignoring corrupt cache {path}: {why}" in err
+    entry = json.loads(path.read_text())["cm"][",".join(map(str, key))]
+    assert entry == [str(c) for c in classes.cm_class(*key).coeffs]
+    assert invoke(capsys, *argv, "--check", "--cache-dir", str(cache))[0] == 0
+
+
 @pytest.mark.parametrize("kind", ["cm", "csm", "csm_open"])
 def test_check_flag_rejects_forged_degree(capsys, tmp_path, monkeypatch, kind):
     # tau(4, 4, 2) has dimension 11 and Porteous degree 20; the forged entry
-    # passes the load-time shape check, so only --check can catch it
+    # passes the load-time shape check, and the closed forms on load catch it
     forge_cm_entry(tmp_path, (4, 4, 2), 11, 1)
-    monkeypatch.setattr(classes, "_CM_CACHE", {})
-    assert invoke(capsys, kind, "-m", "4", "-n", "4", "-k", "2", "--cache-dir", str(tmp_path))[0] == 0
-    monkeypatch.setattr(classes, "_CM_CACHE", {})
-    code, out, err = invoke(capsys, kind, "-m", "4", "-n", "4", "-k", "2", "--check", "--cache-dir", str(tmp_path))
-    assert code == 3 and out == ""
-    assert "not the degree 20" in err and "Traceback" not in err
+    argv = [kind, "-m", "4", "-n", "4", "-k", "2"]
+    why = "cm of (4,4,2) has 21 at [P^11], not the degree 20"
+    assert_forged_cache_is_named_then_rebuilt(capsys, monkeypatch, tmp_path, argv, (4, 4, 2), why)
+
+
+def test_check_flag_rejects_a_wrong_euler_characteristic_of_cm(capsys, monkeypatch):
+    # tau(4, 4, 2): mn binom(n-1, k) = 16 * 3 = 48 at [P^0]
+    real_cm_class = cli.cm_class
+
+    def off_at_p0(m, n, k):
+        cls = real_cm_class(m, n, k)
+        return ProjClass(cls.ambient_dim, (cls.coeffs[0] + 1, *cls.coeffs[1:]))
+
+    monkeypatch.setattr(cli, "cm_class", off_at_p0)
+    code, out, err = invoke(capsys, "cm", "-m", "4", "-n", "4", "-k", "2", "--check")
+    assert (code, out) == (3, "")
+    assert "cm of (4,4,2) has 49 at [P^0], not the Euler characteristic 48" in err
 
 
 @pytest.mark.parametrize("kind,k", [("csm", 2), ("csm_open", 3)])
@@ -446,24 +490,17 @@ def test_cache_invalid_entry_rejected(capsys, tmp_path, entry):
 
 
 @pytest.mark.parametrize("entry,why", [
-    ([*CM_331[:7], "4", "0"], "has 4 at [P^7], not the degree 3"),
-    (["19", *CM_331[1:]], "has 19 at [P^0], not the Euler characteristic 18"),
+    ([*CM_331[:7], "4", "0"], "cm of (3,3,1) has 4 at [P^7], not the degree 3"),
+    (["19", *CM_331[1:]], "cm of (3,3,1) has 19 at [P^0], not the Euler characteristic 18"),
 ], ids=["degree", "euler"])
 def test_cache_forged_closed_form_changes_no_answer(capsys, tmp_path, monkeypatch, entry, why):
     # both polar routes read the cached class, so only the load-time closed
-    # forms see this; the file is left for a --check run to name
+    # forms see this
     cache = tmp_path / "cache"
     cache.mkdir()
-    text = json.dumps({"version": CACHE_VERSION, "cm": {"3,3,1": entry}})
-    (cache / "cm.json").write_text(text)
-    monkeypatch.setattr(classes, "_CM_CACHE", {})
-    code, out, err = invoke(capsys, "ged", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(cache), "--format", "csv")
-    assert code == 0 and out.strip() == "39"
-    assert "warning: ignoring corrupt cache" in err and why in err
-    assert (cache / "cm.json").read_text() == text
-    code, out, err = invoke(capsys, "ged", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(cache), "--check")
-    assert code == 3 and out == ""
-    assert f"cache {cache / 'cm.json'}: entry '3,3,1' {why}" in err
+    (cache / "cm.json").write_text(json.dumps({"version": CACHE_VERSION, "cm": {"3,3,1": entry}}))
+    argv = ["ged", "-m", "3", "-n", "3", "-k", "1", "--format", "csv"]
+    assert_forged_cache_is_named_then_rebuilt(capsys, monkeypatch, cache, argv, (3, 3, 1), why)
 
 
 def test_cache_corrupt_file_recovers(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from detchern import lagrangian, tables
 from detchern.classes import ProjClass, cm_class, csm_class, csm_open, variety_dim
-from detchern.errors import ConsistencyError, ParameterError
+from detchern.errors import BoxSizeError, ConsistencyError, ParameterError
 from detchern.lagrangian import (
     BiProjClass,
     ch_from_class,
@@ -19,6 +19,7 @@ from detchern.lagrangian import (
     polar_degrees,
     symmetry_check,
 )
+from detchern.schubert import set_box_cell_limit
 
 from oracles import ch_sum, involution_sum
 
@@ -244,6 +245,18 @@ def test_parameter_errors():
         ged(3, 4, 1)
     with pytest.raises(ParameterError):
         symmetry_check(3, 4)
+
+
+def test_box_limit_refuses_memoized_classes_and_cycles():
+    # the limit is a property of the request, not of what is memoized
+    cm_class(5, 5, 2), conormal(5, 5, 2)
+    old = set_box_cell_limit(4)
+    try:
+        for memoized in (cm_class, conormal):
+            with pytest.raises(BoxSizeError, match="^box 2x3 exceeds the cell limit 4"):
+                memoized(5, 5, 2)
+    finally:
+        set_box_cell_limit(old)
 
 
 def test_biproj_dense_roundtrip():
