@@ -148,13 +148,22 @@ def variety_dim(m: int, n: int, k: int) -> int:
     return (m + k) * (n - k) - 1
 
 
+def check_strata(n: int, k: int) -> None:
+    """Refuse, before any work, the first stratum box j x (n-j) past the cell
+    limit, j = max(k, 1)..n-1; G(0, n) is a point and has no box."""
+    for j in range(max(k, 1), n):
+        Box.check(j, n - j)
+
+
 def strata_sum(n: int, k: int, open_stratum: bool, term, zero):
     """sum_i (-1)^i w_i term(k+i) over the strata k+i = k..n-1, with
     w_i = binom(k+i, k) for the open stratum of kernel dimension exactly k
-    and w_i = binom(k+i-1, k-1) for the closure tau(m, n, k).  `zero` fixes
-    the vector type and size; a term of another type or size is a
-    ValueError, as in CoeffVector.__add__.  One pass over the coefficient
-    positions sums every term at once."""
+    and w_i = binom(k+i-1, k-1) for the closure tau(m, n, k).  Every
+    stratum's box is checked before the first term.  `zero` fixes the
+    vector type and size; a term of another type or size is a ValueError, as
+    in CoeffVector.__add__.  One pass over the coefficient positions sums
+    every term at once."""
+    check_strata(n, k)
     weights, vectors = [], []
     for i in range(n - k):
         v = term(k + i)
@@ -219,7 +228,7 @@ def cm_class(m: int, n: int, k: int) -> ProjClass:
     The box cell limit applies to a memoized class too."""
     check_params(m, n, k, k_min=0)
     if k:
-        Box(k, n - k)
+        Box.check(k, n - k)
     key = (m, n, k)
     hit = _CM_CACHE.get(key)
     if hit is not None:

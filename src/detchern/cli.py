@@ -35,6 +35,7 @@ from math import comb, factorial, prod
 
 from ._record import Record
 from .classes import (
+    check_strata,
     chern_fulton_hypersurface,
     cm_cache_export,
     cm_cache_import,
@@ -143,9 +144,13 @@ def scan_conjectures(m_max: int, n_max: int) -> ScanReport:
     """Check that every open-stratum CSM coefficient is nonnegative and
     that the coefficients of [P^0..P^(n-k-2)] vanish, for all m <= m_max,
     n <= min(m, n_max), 1 <= k <= n-1.  Violations are collected verbatim,
-    never raised."""
+    never raised.  Every box the scan meets, up to the largest
+    floor(n_max/2) x ceil(n_max/2), is checked against the cell limit
+    before the first instance, so a refusal names the first one past it."""
     if not (2 <= n_max <= m_max):
         raise ParameterError(f"need 2 <= n_max <= m_max, got {m_max}, {n_max}")
+    for n in range(2, n_max + 1):
+        check_strata(n, 1)
     report = ScanReport(m_max, n_max)
     for m in range(2, m_max + 1):
         for n in range(2, min(m, n_max) + 1):
@@ -388,6 +393,9 @@ def compute_document(kind: str, m, n, k, check: bool = False) -> OutputDocument:
         _require(m is not None and n is not None and k is not None,
                  f"{kind} requires -m, -n and -k")
     basis, value = KINDS[kind]
+    if check and kind == "cm":  # its checks read every stratum: refuse before the first
+        check_params(m, n, k, k_min=0)
+        check_strata(n, k)
     raw = value(m, n, k)
     if basis == "matrix":
         coefficients = [[str(v) for v in row] for row in raw]

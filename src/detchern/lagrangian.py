@@ -81,7 +81,7 @@ def conormal(m: int, n: int, k: int) -> BiProjClass:
     coefficients are nonnegative polar degrees.  The box cell limit applies
     to a memoized cycle too."""
     check_params(m, n, k)
-    Box(k, n - k)
+    Box.check(k, n - k)
     key = (m, n, k)
     hit = _CON_CACHE.get(key)
     if hit is None:

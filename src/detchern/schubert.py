@@ -17,13 +17,14 @@ Poincare-duality pairing, and the matrix of degrees of tangent-twisted
 products of those Chern classes that drives the characteristic-class
 formulas downstream.  That matrix takes no products of classes: its rows
 come from c(T_G) in one pass of Miller's recurrence for c(Q*)^m, on
-dense lists over the shape indices of partitions_in_box, with Pieri steps
-along the short side of the box: s_(e), e <= n-k, if k >= n-k, and else
-s_(1^e), e <= k, since c(Q*) = c(S*)^(-1) makes c(Q*)^m = c(S*)^(-m), with
-step -(me + j) from degree j; that is row Pieri in the transposed box, so
-a box and its transpose share one per-box table.  Its columns c(S*^m)
-are closed by the dual Cauchy identity and the hook-content formula, and
-Poincare duality reads each entry off the complement of a row's partition.
+dense lists over the shape indices of partitions_in_box, with row Pieri
+steps s_(e), e <= min(k, n-k), in the tall or square box
+max(k, n-k) x min(k, n-k).  A wide box (k < n-k) reads its matrix off
+that pass for G(n-k, n): W -> W^perp swaps S with Q* and Q with S*, so
+A(m, n, k)[i][p] = (-1)^p A(m, n, n-k)[p-i][p], and a box and its
+transpose share one per-box table.  Its columns c(S*^m) are closed by the
+dual Cauchy identity and the hook-content formula, and Poincare duality
+reads each entry off the complement of a row's partition.
 
 Everything is a pure function of immutable values; the module-level
 caches (LR expansions in partitions, tangent classes and Pieri tables per
@@ -65,12 +66,19 @@ class Box(FrozenRecord):
     def __init__(self, rows: int, cols: int):
         if rows < 1 or cols < 1:
             raise ParameterError(f"box sides must be positive, got {rows}x{cols}")
+        Box.check(rows, cols)
+        self._freeze(rows, cols)
+
+    @staticmethod
+    def check(rows: int, cols: int) -> None:
+        """Refuse a rows x cols box past the cell limit with a BoxSizeError
+        naming it.  The one home of the limit; it builds no record, so a memo
+        hit can afford it."""
         if rows * cols > _box_cell_limit:
             raise BoxSizeError(
                 f"box {rows}x{cols} exceeds the cell limit "
                 f"{_box_cell_limit}; raise it with set_box_cell_limit()"
             )
-        self._freeze(rows, cols)
 
     def _values(self) -> tuple[int, int]:
         # a Box keys the per-box caches, so == and hash read the fields directly
@@ -339,15 +347,15 @@ def _row_pieri(box: Box) -> tuple:
     of it depending on m, built once per box: the shapes lam of partitions_in_box;
     for each, every (e, index of nu) with s_nu a term of s_lam * s_(e) in the box,
     e = 1..min(cols, dim - |lam|); the column offset dim - |lam|; the dense row of
-    c(T_G); the complement of lam and its conjugate."""
+    c(T_G); the conjugate of the complement of lam.  A wide box reads the table
+    of its transpose, so the two share it."""
     shapes = partitions_in_box(box.rows, box.cols)
     index = {lam: x for x, lam in enumerate(shapes)}  # nu is in the box iff it has one
     pieri = [[(e, index[nu]) for e in range(1, min(box.cols, box.dim - sum(lam)) + 1)
               for nu in lr_expansion(lam, (e,)) if nu in index] for lam in shapes]
     tangent = tangent_chern(box).terms
-    complements = [box.complement(lam) for lam in shapes]
     return (shapes, pieri, [box.dim - sum(lam) for lam in shapes], [tangent.get(lam, 0) for lam in shapes],
-            complements, [conjugate(mu) for mu in complements])
+            [conjugate(box.complement(lam)) for lam in shapes])
 
 
 @lru_cache(maxsize=None)
@@ -364,38 +372,42 @@ def _schur_at_ones(lam: Partition, m: int) -> int:
 
 def a_matrix(m: int, n: int, k: int) -> list[list[int]]:
     """Square integer matrix of size m(n-k)+1 whose (i, p) entry is the
-    degree of c(T_G) c_i(Q*^m) c_(p-i)(S*^m) on G(k, n); zero for i > p.
+    degree of c(T_G) c_i(Q*^m) c_(p-i)(S*^m) on G(k, n); zero for i > p or
+    p > dim = k(n-k), so only its (dim+1)^2 corner is computed.
 
+    One Miller pass fills the corner, in the tall or square box
+    max(k, n-k) x min(k, n-k), with its Pieri factor along the short side.
     Rows: R_i = c(T_G) c_i(Q*^m) by Miller's recurrence for a power, run
-    forward from R_0 = c(T_G), its Pieri factor along the short side.  If
-    k >= n-k, i R_i = sum_e ((m+1)e - i) c_e(Q*) R_(i-e): a term c s_lam of a
-    finished R_j adds (me - j)(-1)^e c s_nu to i R_i, i = j+e, per term s_nu of
-    s_lam s_(e).  If k < n-k, c(Q*)^m = c(S*)^(-m) (c(S*) c(Q*) = 1) gives the step
-    -(me + j) per term of s_lam s_(1^e): row Pieri on lam' in the transposed box.
-    Columns: c_j(S*^m) = sum_{|mu|=j} s_mu'(1^m) s_mu (dual Cauchy), so c s_lam
-    in R_i adds c s_mu'(1^m) at p = i + |mu|, mu its complement (in the
-    transposed box, s_mu(1^m) of the complement mu of lam').
+    forward from R_0 = c(T_G): i R_i = sum_e ((m+1)e - i) c_e(Q*) R_(i-e), so
+    a term c s_lam of a finished R_j adds (me - j)(-1)^e c s_nu to i R_i,
+    i = j+e, per term s_nu of s_lam s_(e).  Columns: c_j(S*^m) =
+    sum_{|mu|=j} s_mu'(1^m) s_mu (dual Cauchy), so c s_lam in R_i adds
+    c s_mu'(1^m) at p = i + |mu|, mu its complement.  A wide box (k < n-k)
+    runs the pass for G(n-k, n): W -> W^perp identifies G(k, V) with
+    G(n-k, V*) and pulls the subbundle there back to Q* and the quotient
+    back to S*, so A(m, n, k)[i][p] = (-1)^p A(m, n, n-k)[p-i][p].
     """
     check_params(m, n, k)
-    wide = k < n - k
-    box = Box(k, n - k)
-    box = Box(box.cols, box.rows) if wide else box  # rows >= cols
-    shapes, pieri, column, tangent, complements, conjugates = _row_pieri(box)
-    weight = [_schur_at_ones(mu, m) for mu in (complements if wide else conjugates)]
+    Box.check(k, n - k)  # name the box asked for, not its transpose
+    rows, cols = max(k, n - k), min(k, n - k)
+    box = Box(rows, cols)
+    shapes, pieri, column, tangent, conjugates = _row_pieri(box)
+    weight = [_schur_at_ones(mu, m) for mu in conjugates]
     dim, top = box.dim, m * (n - k)
     sums = [list(tangent)] + [[0] * len(shapes) for _ in range(dim)]  # j R_j at index j
-    matrix = [[0] * (top + 1) for _ in range(top + 1)]
+    corner = [[0] * (dim + 1) for _ in range(dim + 1)]
     for j, acc in enumerate(sums):
-        row, slots = matrix[j], sums[j:]
-        step = [-(m * e + j) if wide else (m * e - j) * (-1) ** e for e in range(box.cols + 1)]
+        row, slots = corner[j], sums[j:]
+        step = [(m * e - j) * (-1) ** e for e in range(cols + 1)]
         for x, c in enumerate(acc):
             if not c:
                 continue
             c, rem = divmod(c, max(j, 1))
-            if rem:  # name the partition of the box asked for
-                lam = conjugate(shapes[x]) if wide else shapes[x]
-                raise ConsistencyError(f"c(T) c_{j}(Q*^{m}) of box {k}x{n - k} is not integral at {lam}")
+            if rem:
+                raise ConsistencyError(f"c(T) c_{j}(Q*^{m}) of box {rows}x{cols} is not integral at {shapes[x]}")
             row[j + column[x]] += c * weight[x]
             for e, y in pieri[x]:
                 slots[e][y] += step[e] * c
-    return matrix
+    if k < n - k:
+        corner = [[(-1) ** p * corner[p - i][p] if p >= i else 0 for p in range(dim + 1)] for i in range(dim + 1)]
+    return [row + [0] * (top - dim) for row in corner] + [[0] * (top + 1) for _ in range(top - dim)]

@@ -125,6 +125,31 @@ def test_refused_box_names_the_flag(capsys):
         schubert.Box(6, 7)
 
 
+@pytest.mark.parametrize("argv", [
+    ["csm", "-m", "6", "-n", "6", "-k", "1"],
+    ["charcycle", "-m", "6", "-n", "6", "-k", "1"],
+    ["cm", "-m", "6", "-n", "6", "-k", "1", "--check"],  # its checks read every stratum
+    ["scan", "-m", "6", "-n", "6"],
+], ids=["csm", "charcycle", "cm-check", "scan"])
+def test_refusal_comes_before_any_class(capsys, monkeypatch, argv):
+    # strata 1x5 and 2x4 fit a limit of 8 and 3x3 does not: no class of the
+    # strata that fit is computed before the refusal
+    calls = []
+    for module in (classes, cli, lagrangian):
+        real = module.cm_class
+        monkeypatch.setattr(module, "cm_class", lambda *a, real=real: calls.append(a) or real(*a))
+    code, out, err = invoke(capsys, *argv, "--max-box", "8")
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: box 3x3 exceeds the cell limit 8; raise it with --max-box\n")
+
+
+def test_refusal_names_the_box_asked_for(capsys):
+    # G(2, 5) is the 2x3 box; its pass runs in the tall partner 3x2
+    code, out, err = invoke(capsys, "amatrix", "-m", "5", "-n", "5", "-k", "2", "--max-box", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: box 2x3 exceeds the cell limit 4; raise it with --max-box\n")
+
+
 def test_warm_cache_refuses_a_box_past_the_limit(capsys, tmp_path, monkeypatch):
     # a class read from cm.json is refused like one computed: the limit is a
     # property of the request, so the cache changes no exit code

@@ -3,7 +3,7 @@ from math import comb
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from detchern import lagrangian, tables
+from detchern import lagrangian, schubert, tables
 from detchern.classes import ProjClass, cm_class, csm_class, csm_open, variety_dim
 from detchern.errors import BoxSizeError, ConsistencyError, ParameterError
 from detchern.lagrangian import (
@@ -250,6 +250,24 @@ def test_parameter_errors():
 def test_box_limit_refuses_memoized_classes_and_cycles():
     # the limit is a property of the request, not of what is memoized
     cm_class(5, 5, 2), conormal(5, 5, 2)
+    old = set_box_cell_limit(4)
+    try:
+        for memoized in (cm_class, conormal):
+            with pytest.raises(BoxSizeError, match="^box 2x3 exceeds the cell limit 4"):
+                memoized(5, 5, 2)
+    finally:
+        set_box_cell_limit(old)
+
+
+def test_box_limit_on_a_memo_hit_builds_no_box(monkeypatch):
+    # the guard compares the cells with the limit; it builds no Box record
+    cm_class(5, 5, 2), conormal(5, 5, 2)
+
+    def refuse(*args):
+        raise AssertionError("a memo hit built a Box")
+
+    monkeypatch.setattr(schubert.Box, "_freeze", refuse)
+    assert cm_class(5, 5, 2) is cm_class(5, 5, 2)
     old = set_box_cell_limit(4)
     try:
         for memoized in (cm_class, conormal):

@@ -396,33 +396,26 @@ def test_divide_exactly_drops_zeros_and_names_a_remainder():
         _divide_exactly({(1, 1): 4, (2,): 3}, 2, "c_2(T) of box 2x2")
 
 
-def test_a_matrix_names_a_remainder_of_the_miller_pass(monkeypatch):
+@pytest.mark.parametrize("rows,cols,m,n,k,message", [
+    pytest.param(2, 2, 4, 4, 2, r"c\(T\) c_3\(Q\*\^4\) of box 2x2 is not integral at \(2, 1\)$", id="square"),
+    # box 2x4 reads its corner off the pass of its tall partner 4x2, and the
+    # message names the box the pass ran in
+    pytest.param(4, 2, 6, 6, 2, r"c\(T\) c_5\(Q\*\^6\) of box 4x2 is not integral at \(2, 1, 1, 1\)$", id="wide"),
+])
+def test_a_matrix_names_a_remainder_of_the_miller_pass(monkeypatch, rows, cols, m, n, k, message):
     # drop the Pieri term s_() * s_(1) = s_(1): i R_i is no longer divisible by i
-    box = boxed(2, 2)
-    shapes, pieri, *rest = schubert._row_pieri(box)
-    forged = [list(terms) for terms in pieri]
-    assert forged[0][0] == (1, partitions_in_box(2, 2).index((1,)))
-    del forged[0][0]
-    monkeypatch.setattr(schubert, "_row_pieri", lambda b: (shapes, forged, *rest))
-    with pytest.raises(ConsistencyError, match=r"c\(T\) c_3\(Q\*\^4\) of box 2x2 is not integral at \(2, 1\)"):
-        a_matrix(4, 4, 2)
-
-
-def test_a_matrix_on_a_wide_box_names_a_remainder_in_that_box(monkeypatch):
-    # box 2x4 runs its pass in the transposed box 4x2, which holds (2, 2, 2, 1);
-    # the message names the partition of the box asked for, (4, 3)
-    shapes, pieri, *rest = schubert._row_pieri(boxed(4, 2))
+    shapes, pieri, *rest = schubert._row_pieri(boxed(rows, cols))
     forged = [list(terms) for terms in pieri]
     assert forged[0][0] == (1, shapes.index((1,)))
     del forged[0][0]
     monkeypatch.setattr(schubert, "_row_pieri", lambda b: (shapes, forged, *rest))
-    with pytest.raises(ConsistencyError, match=r"c\(T\) c_7\(Q\*\^6\) of box 2x4 is not integral at \(4, 3\)$"):
-        a_matrix(6, 6, 2)
+    with pytest.raises(ConsistencyError, match=message):
+        a_matrix(m, n, k)
 
 
 def test_a_wide_box_multiplies_along_its_short_side_and_shares_the_table(monkeypatch):
-    # c(Q*)^m = c(S*)^(-m): box 2x5 asks only for s_(e) with e <= 2, in the
-    # transposed box, whose table then serves G(5, 7) as it is
+    # box 2x5 runs its pass in its tall partner 5x2, asking only for s_(e) with
+    # e <= 2, and that table then serves G(5, 7) as it is
     calls = []
     real = schubert.lr_expansion
     monkeypatch.setattr(schubert, "lr_expansion", lambda lam, mu: calls.append((lam, mu)) or real(lam, mu))
