@@ -114,13 +114,6 @@ class ProjClass(CoeffVector):
     def coefficient(self, l: int) -> int:
         return self.coeffs[l] if 0 <= l <= self.ambient_dim else 0
 
-    def hyperplane_power(self, p: int) -> "ProjClass":
-        """Cap with H^p: shifts [P^l] down to [P^(l-p)], truncating below 0."""
-        if p < 0:
-            raise ValueError("hyperplane power must be nonnegative")
-        n = self.ambient_dim
-        return ProjClass(n, [self.coeffs[l + p] if l + p <= n else 0 for l in range(n + 1)])
-
     def __repr__(self):
         return f"ProjClass({list(self.coeffs)})"
 

@@ -7,7 +7,9 @@ involution on Chern-Mather classes.  Main routes: ch_from_class and
 involution_dual substitute t -> -1-t (classes.at_minus_one_minus_t), one
 Horner pass on a single integer at t = 2^B, with B = (largest bit length
 of a coefficient) + (degree) + 2 bits, enough for every coefficient of the
-image.
+image.  Each map is exactly one pass, by two identities: for p = t G,
+(1+t) G(-1-t) = -p(-1-t); and for s(u) = q(u) + (-1)^N q(-1) u^(N+1),
+s(-1-t) = q(-1-t) - q(-1)(1+t)^(N+1), whose cut at t^N is the involution.
 Check route: polar_degrees checks the conormal coefficients against the
 polar-class binomial sums over the Chern-Mather class, by Pascal's rule.
 
@@ -22,7 +24,7 @@ the signs produced by the alternating sums.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, neg
 
 from ._record import Record
 from .classes import CoeffVector, ProjClass, at_minus_one_minus_t, cm_class, strata_sum, variety_dim
@@ -66,10 +68,11 @@ def ch_from_class(c: ProjClass) -> BiProjClass:
     """Characteristic-cycle class of a constructible function from its
     Chern class transform G(t) = sum_l gamma_l t^l, gamma_l the coefficient
     of [P^l] for l < N: the coefficient of t^j in (1+t) G(-1-t) goes on the
-    monomial h1^(N+1-j) h2^j, for j = 1..N."""
+    monomial h1^(N+1-j) h2^j, for j = 1..N.  That polynomial is -p(-1-t)
+    for p = t G, so it is one substitution of -p."""
     N = c.ambient_dim
-    g = at_minus_one_minus_t(c.coeffs[:N])
-    return BiProjClass(N, map(add, [*g[1:], 0], g))
+    # p(-1-t) = (-1-t) G(-1-t), so (1+t) G(-1-t) = -p(-1-t) with p = t G
+    return BiProjClass(N, at_minus_one_minus_t([0, *map(neg, c.coeffs[:N])])[1:])
 
 
 _CON_CACHE: dict[tuple[int, int, int], BiProjClass] = {}
@@ -148,30 +151,25 @@ def involution_dual(q: tuple[int, ...]) -> tuple[int, ...]:
     """The map p(t) -> p(-1-t) - p(-1)((1+t)^(N+1) - t^(N+1)) on integer
     polynomials of degree <= N, as coefficient tuples (index = power).
     An involution on polynomials without constant term (the classes of
-    proper subvarieties carry no fundamental-class component)."""
-    N = len(q) - 1
-    out = at_minus_one_minus_t(q)
-    q_at_minus1 = out[0] if out else 0  # p(-1-t) at t = 0
-    c = 1  # binom(N+1, s)
-    for s in range(N + 1):
-        out[s] -= q_at_minus1 * c
-        c = c * (N + 1 - s) // (s + 1)
-    return tuple(out)
+    proper subvarieties carry no fundamental-class component).  It is one
+    substitution of s(u) = p(u) + (-1)^N p(-1) u^(N+1), cut at t^N."""
+    # s(-1-t) = p(-1-t) - p(-1)(1+t)^(N+1), and cutting at t^N drops exactly
+    # the t^(N+1) term the map adds back; (-1)^N p(-1) is the alternating sum
+    # of the coefficients from the top one down
+    return tuple(at_minus_one_minus_t([*q, sum(q[::-2]) - sum(q[-2::-2])])[: len(q)])
 
 
 def dual_cm(c: ProjClass, dim_x: int) -> ProjClass:
     """Chern-Mather class of the dual variety, from the involution on the
-    hyperplane-power representation of the input class."""
+    hyperplane-power representation of the input class.  The involution is
+    linear, so the sign (-1)^dim_x of its input and the sign (-1)^(dim of
+    the dual) of its output go on the output together."""
     N = c.ambient_dim
-    sign = (-1) ** dim_x
-    q = tuple(sign * v for v in c.h_coefficients())
-    r = involution_dual(q)
-    if not any(r):
-        return ProjClass(N)
-    low = next(j for j, v in enumerate(r) if v)
-    dim_dual = N - low
-    out_sign = (-1) ** dim_dual
-    return ProjClass.from_h_coefficients(tuple(out_sign * v for v in r))
+    r = involution_dual(c.h_coefficients())
+    # the dual has dimension N - low, low the lowest nonzero H-power of the
+    # image; a zero image reads low = N, and any sign leaves it zero
+    low = next((j for j, v in enumerate(r) if v), N)
+    return (-1 if (dim_x + N - low) & 1 else 1) * ProjClass.from_h_coefficients(r)
 
 
 class SymmetryReport(Record):

@@ -15,7 +15,6 @@ snapshot and seed it.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
@@ -53,7 +52,6 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
 
 
-@lru_cache(maxsize=None)
 def partitions_in_box(rows: int, cols: int) -> tuple[Partition, ...]:
     """All partitions fitting in a rows x cols rectangle, lexicographically sorted."""
     out: list[Partition] = []

@@ -80,6 +80,15 @@ def involution_sum(q):
     return [c - at_minus1 * _binom(N + 1, s) for s, c in enumerate(minus_one_minus_t_sum(q))]
 
 
+def hyperplane_power(c, p):
+    """Cap of the ProjClass c with H^p: [P^l] shifts down to [P^(l-p)],
+    truncating below 0."""
+    if p < 0:
+        raise ValueError("hyperplane power must be nonnegative")
+    N = c.ambient_dim
+    return type(c)(N, [c.coeffs[l + p] if l + p <= N else 0 for l in range(N + 1)])
+
+
 def semistandard_fillings(shape, nvars):
     """Yield all semistandard fillings of a partition shape with entries in
     1..nvars, as row tuples (weakly increasing rows, strict columns)."""

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from detchern import classes, cli, lagrangian, schubert
-from detchern.classes import ProjClass
+from detchern import classes, cli, lagrangian, microlocal, schubert
+from detchern.classes import ProjClass, StrataVector
 from detchern.cli import (
     CACHE_VERSION,
     OutputDocument,
@@ -253,11 +253,44 @@ def test_check_flag_reports_trace_failure(capsys, monkeypatch):
     assert "consistency failure" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("kind", ["cm", "csm", "csm_open"])
-@pytest.mark.parametrize("m,n,k", [(4, 4, 0), (4, 4, 2), (5, 3, 2), (6, 4, 1)])
-def test_check_flag_closed_forms_leave_stdout_unchanged(capsys, kind, m, n, k):
-    plain = invoke(capsys, kind, "-m", str(m), "-n", str(n), "-k", str(k))
-    checked = invoke(capsys, kind, "-m", str(m), "-n", str(n), "-k", str(k), "--check")
+def _doubled(real):
+    return lambda *args: 2 * real(*args)
+
+
+@pytest.mark.parametrize("argv,module,name,fake,message", [
+    ("cm --check", cli, "cm_class_via_trace", _doubled, "trace route disagrees at (4,4,2)"),
+    ("conormal --check", cli, "dagger", _doubled, "conormal flip duality fails at (4,4,2)"),
+    ("charcycle --check", cli, "ch_from_class", _doubled, "characteristic cycle routes disagree at (4,4,2)"),
+    ("charcycle_open --check", cli, "ch_from_class", _doubled,
+     "open characteristic cycle routes disagree at (4,4,2)"),
+    ("dual_check", cli, "dual_cm", _doubled, "involution image differs from the dual variety class at (4,4,2)"),
+    ("microlocal --check", microlocal, "stalk_euler",
+     lambda real: lambda m, n, k: StrataVector(0, (1, *real(m, n, k).values[1:])),
+     "ambient stratum received nonzero multiplicity 1 for (4,4,2)"),
+    ("microlocal --check", microlocal, "obstruction_matrix",
+     lambda real: lambda n: [[int(i == j) for i in range(n)] for j in range(n)],
+     "microlocal combination differs from the conormal cycle for (4,4,2)"),
+], ids=["trace", "conormal", "charcycle", "charcycle_open", "dual_check", "ambient_stratum", "ic_combination"])
+def test_each_check_route_fails_through_run(capsys, monkeypatch, argv, module, name, fake, message):
+    # one route made to disagree with the other: exit 3 naming the route and
+    # the case, nothing on stdout, no traceback
+    monkeypatch.setattr(module, name, fake(getattr(module, name)))
+    code, out, err = invoke(capsys, *argv.split(), "-m", "4", "-n", "4", "-k", "2")
+    assert (code, out) == (3, "")
+    assert f"consistency failure: {message}\n" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "m,n,k,kind",
+    [(m, n, k, kind) for m, n, k in [(4, 4, 0), (4, 4, 2), (5, 3, 2), (6, 4, 1)] for kind in ("cm", "csm", "csm_open")]
+    + [(4, 4, 2, kind) for kind in cli.KINDS if kind not in {"cm", "csm", "csm_open", "fulton", "milnor"}]
+    + [(None, 3, None, "fulton"), (None, 3, None, "milnor")],
+)
+def test_check_flag_closed_forms_leave_stdout_unchanged(capsys, m, n, k, kind):
+    # --check adds assertions to every kind and never changes what it prints
+    argv = [kind, "-n", str(n)] + ([] if m is None else ["-m", str(m), "-k", str(k)])
+    plain = invoke(capsys, *argv)
+    checked = invoke(capsys, *argv, "--check")
     assert plain[0] == checked[0] == 0
     assert plain[1] == checked[1]
 
