@@ -212,7 +212,8 @@ _CM_CACHE: dict[tuple[int, int, int], ProjClass] = {}
 def cm_class(m: int, n: int, k: int) -> ProjClass:
     """Chern-Mather class of tau(m, n, k) pushed to P^(mn-1): with
     top = m(n-k), sum_i (1+H)^(top-i) sum_p A[i][p] H^(mk+i-p) mod H^mn.
-    A[i][p] = 0 unless i <= p <= dim = k(n-k) <= mk, so that is
+    A[i][p] = 0 unless i <= p <= dim = k(n-k) <= mk, and a_matrix returns
+    only that (dim+1)^2 corner, so that is
     H^(mk-dim) (1+H)^(top-dim) sum_i (1+H)^(dim-i) r_i over i <= dim, with
     r_i = sum_p A[i][p] H^(dim+i-p): a Kronecker substitution (module
     docstring) that runs Horner's rule q <- q + qX + r_i and multiplies once
@@ -227,7 +228,7 @@ def cm_class(m: int, n: int, k: int) -> ProjClass:
     if hit is not None:
         return hit
     top, dim = m * (n - k), k * (n - k)
-    corner = [row[: dim + 1] for row in a_matrix(m, n, k)[: dim + 1]] if k else [[1]]
+    corner = a_matrix(m, n, k) if k else [[1]]
     width = (sum(abs(a) for row in corner for a in row).bit_length() + top + 9) // 8  # bytes per digit
     shift = 8 * width
     q = 0
@@ -249,17 +250,17 @@ def cm_class(m: int, n: int, k: int) -> ProjClass:
 def cm_class_via_trace(m: int, n: int, k: int) -> ProjClass:
     """Cross-check path: literal trace of A * H * B over the truncated
     polynomial ring Z[H]/(H^mn), where H is the matrix [H^(mk+j-i)] and B
-    is b_matrix.  Only the nonzero entries A[i][p] are visited, each against
-    the nonzero entries B[j][i] = binom(top-i, j-i), j >= i, of column i, so
-    the cost is nnz(A) (top+1) binomials.  Monomials with negative exponents
-    must cancel identically."""
+    is b_matrix.  A is read as a_matrix returns it, its (dim+1)^2 corner:
+    the rest of the m(n-k)+1 square is zero and adds nothing to the trace.
+    Only the nonzero entries A[i][p] are visited, each against the nonzero
+    entries B[j][i] = binom(top-i, j-i), j >= i, of column i, so the cost is
+    nnz(A) (top+1) binomials.  A monomial with a negative exponent needs
+    p > mk + j >= dim, outside the corner, so one that survives means A
+    has a nonzero entry where the paper's matrix has none."""
     check_params(m, n, k)
-    N = m * n - 1
-    top = m * (n - k)
+    N, top = m * n - 1, m * (n - k)
     trace: dict[int, int] = {}
     for i, row in enumerate(a_matrix(m, n, k)):
-        if not any(row):
-            continue
         for p, a in enumerate(row):
             if a:
                 # entry (i, j) of A*H is sum_p A[i][p] H^(mk+j-p), and B[j][i] is 0 for j < i

@@ -300,6 +300,13 @@ def save_caches(cache_dir: str) -> None:
 # time, so a wrapper installed there sees every call.
 
 
+def _padded_a_matrix(m: int, n: int, k: int) -> list[list[int]]:
+    """The paper's (m(n-k)+1)^2 degree matrix: the (k(n-k)+1)^2 corner that
+    a_matrix returns, padded with zeros.  The one place that builds it."""
+    pad = (m - k) * (n - k)  # rows, and columns, past the corner
+    return [row + [0] * pad for row in a_matrix(m, n, k)] + [[0] * (m * (n - k) + 1) for _ in range(pad)]
+
+
 def _checked_dual_cm(m: int, n: int, k: int) -> tuple[int, ...]:
     check_params(m, n, k)
     dual = dual_cm(cm_class(m, n, k), variety_dim(m, n, k))
@@ -325,7 +332,7 @@ KINDS = {
     "microlocal": (
         "strata:0", lambda m, n, k: solve_multiplicities(determinantal_system(m, n, k)).values
     ),
-    "amatrix": ("matrix", lambda m, n, k: a_matrix(m, n, k)),
+    "amatrix": ("matrix", _padded_a_matrix),
     "dual_check": ("projective", lambda m, n, k: _checked_dual_cm(m, n, k)),
 }
 

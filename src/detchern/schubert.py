@@ -15,7 +15,9 @@ transposed one; the terms t and i-t of p_i(T) cancel
 for odd i, leaving n p_i(x), and coincide for even i), the degree map, the
 Poincare-duality pairing, and the matrix of degrees of tangent-twisted
 products of those Chern classes that drives the characteristic-class
-formulas downstream.  That matrix takes no products of classes: its rows
+formulas downstream.  That matrix is kept as its (dim+1)^2 corner,
+dim = k(n-k), the only block of the paper's (m(n-k)+1)^2 matrix that can
+be nonzero; it takes no products of classes: its rows
 come from c(T_G) in one pass of Miller's recurrence for c(Q*)^m, on
 dense lists over the shape indices of partitions_in_box, with row Pieri
 steps s_(e), e <= min(k, n-k), in the tall or square box
@@ -371,9 +373,13 @@ def _schur_at_ones(lam: Partition, m: int) -> int:
 
 
 def a_matrix(m: int, n: int, k: int) -> list[list[int]]:
-    """Square integer matrix of size m(n-k)+1 whose (i, p) entry is the
-    degree of c(T_G) c_i(Q*^m) c_(p-i)(S*^m) on G(k, n); zero for i > p or
-    p > dim = k(n-k), so only its (dim+1)^2 corner is computed.
+    """Square integer matrix of size dim+1, dim = k(n-k), whose (i, p) entry
+    is the degree of c(T_G) c_i(Q*^m) c_(p-i)(S*^m) on G(k, n); zero for
+    i > p.  The paper's matrix has size m(n-k)+1, but an entry with
+    p > dim reads c_(dim-p)(T_G) = 0, and one with i > dim has i > p or
+    p > dim, so only this (dim+1)^2 corner can be nonzero.  It is all that
+    is returned, and its size does not grow with m; `detchern amatrix`
+    pads it back to the paper's size.
 
     One Miller pass fills the corner, in the tall or square box
     max(k, n-k) x min(k, n-k), with its Pieri factor along the short side.
@@ -393,7 +399,7 @@ def a_matrix(m: int, n: int, k: int) -> list[list[int]]:
     box = Box(rows, cols)
     shapes, pieri, column, tangent, conjugates = _row_pieri(box)
     weight = [_schur_at_ones(mu, m) for mu in conjugates]
-    dim, top = box.dim, m * (n - k)
+    dim = box.dim
     sums = [list(tangent)] + [[0] * len(shapes) for _ in range(dim)]  # j R_j at index j
     corner = [[0] * (dim + 1) for _ in range(dim + 1)]
     for j, acc in enumerate(sums):
@@ -410,4 +416,4 @@ def a_matrix(m: int, n: int, k: int) -> list[list[int]]:
                 slots[e][y] += step[e] * c
     if k < n - k:
         corner = [[(-1) ** p * corner[p - i][p] if p >= i else 0 for p in range(dim + 1)] for i in range(dim + 1)]
-    return [row + [0] * (top - dim) for row in corner] + [[0] * (top + 1) for _ in range(top - dim)]
+    return corner

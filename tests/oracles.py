@@ -6,7 +6,10 @@ multiplication, and Schur expansion works by peeling lex-leading monomials.
 The polynomial maps in the hyperplane class (the Chern-Mather contraction,
 the characteristic-cycle transform and the dual-variety involution) are
 written out as the explicit binomial sums they expand to; the Chern-Mather
-contraction also as Horner's rule on lists, row by row of A.  The total Chern
+contraction also as Horner's rule on lists, row by row of A.  Both read the
+paper's full (m(n-k)+1)^2 matrix A, padded here from the (k(n-k)+1)^2
+corner that a_matrix returns, and corner_of checks a dense oracle matrix
+against that corner.  The total Chern
 class of the tangent bundle of G(k, n) and the degree matrix A come from
 Atiyah-Bott localization over the torus fixed points, with no Schubert-ring
 code at all; the former power-sum route for c(T), which summed every term
@@ -35,12 +38,28 @@ def minus_one_minus_t_sum(p):
     return out
 
 
+def padded(corner, size):
+    """The size x size matrix with `corner` as its top-left block and zeros
+    elsewhere."""
+    return [list(row) + [0] * (size - len(row)) for row in corner] + [[0] * size for _ in range(size - len(corner))]
+
+
+def corner_of(dense, dim):
+    """The top-left (dim+1)^2 block of a dense matrix, after asserting that
+    every entry outside it is zero."""
+    outside = [(i, p) for i, row in enumerate(dense) for p, a in enumerate(row) if a and max(i, p) > dim]
+    assert not outside, outside
+    return [list(row[: dim + 1]) for row in dense[: dim + 1]]
+
+
 def cm_triple_sum(A, m, n, k):
     """H-power coefficients of the Chern-Mather class of tau(m, n, k), k >= 1,
-    from its degree matrix A: gamma_l = sum over mk+j-p = l of
-    A[i][p] binom(top-i, j-i), with top = m(n-k) and l = 0..mn-1."""
+    from its degree matrix A (padded to the paper's size m(n-k)+1):
+    gamma_l = sum over mk+j-p = l of A[i][p] binom(top-i, j-i), with
+    top = m(n-k) and l = 0..mn-1."""
     N = m * n - 1
     top = m * (n - k)
+    A = padded(A, top + 1)
     gamma = [0] * (N + 1)
     for i in range(top + 1):
         for p in range(top + 1):
@@ -53,10 +72,11 @@ def cm_triple_sum(A, m, n, k):
 
 def cm_list_horner(A, m, n, k):
     """The same coefficients by Horner's rule in (1+H) over all m(n-k)+1 rows
-    of A, on plain lists of length mn: gamma <- gamma (1+H) + row i, row i
-    being sum_p A[i][p] H^(mk+i-p), and H^mn dropped at every step."""
+    of A (padded to that size), on plain lists of length mn: gamma <-
+    gamma (1+H) + row i, row i being sum_p A[i][p] H^(mk+i-p), and H^mn
+    dropped at every step."""
     gamma = [0] * (m * n)
-    for i, row in enumerate(A):
+    for i, row in enumerate(padded(A, m * (n - k) + 1)):
         gamma = [a + b for a, b in zip(gamma, [0] + gamma)]
         for p, a in enumerate(row):
             if a:

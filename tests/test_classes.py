@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 from math import factorial, prod
 
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,7 @@ from detchern.schubert import a_matrix
 
 from oracles import cm_list_horner, cm_triple_sum, hyperplane_power, minus_one_minus_t_sum
 
-# long thin boxes: A of size m(n-k) + 1, up to 51, over a Grassmannian of <= 6 cells
+# long thin boxes: m(n-k) + 1 up to 51 (the paper's size of A), over a Grassmannian of <= 6 cells
 THIN_MN = [(12, 2), (20, 2), (16, 3), (12, 4), (10, 5)]
 
 
@@ -203,7 +204,7 @@ def test_cm_horner_matches_triple_sum(m, n, k):
 
 
 def cm_by_list_horner(m, n, k):
-    A = a_matrix(m, n, k) if k else [[1]] + [[]] * (m * n)  # G(0, n) is a point
+    A = a_matrix(m, n, k) if k else [[1]]  # G(0, n) is a point
     return ProjClass.from_h_coefficients(cm_list_horner(A, m, n, k))
 
 
@@ -220,6 +221,18 @@ def test_cm_kronecker_pass_matches_list_horner(m):
 @pytest.mark.parametrize("m,n,k", [(200, 2, 1), (2000, 2, 1), (300, 4, 2), (12, 12, 6)])
 def test_cm_kronecker_pass_matches_list_horner_at_large_m(m, n, k):
     assert cm_class(m, n, k) == cm_by_list_horner(m, n, k)
+
+
+def test_cm_class_at_large_m_holds_only_the_corner_of_a(monkeypatch):
+    # A(3000, 2, 1) is a 2x2 corner; the paper's 3001^2 matrix peaked near 70 MB
+    monkeypatch.setattr(classes, "_CM_CACHE", {})
+    tracemalloc.start()
+    try:
+        cm_class(3000, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000, peak
 
 
 def test_cm_digit_width_one_byte_short_is_caught():

@@ -236,21 +236,47 @@ def test_dual_check_rejects_k_zero(capsys):
     assert "k=0" in err
 
 
-def test_check_flag_reports_trace_failure(capsys, monkeypatch):
-    # a corrupted degree matrix leaves a negative hyperplane power in the
-    # trace route, which must surface as a consistency failure, not a traceback
+def _cm_check_with_forged_trace(capsys, monkeypatch, forge):
+    """cm -m 3 -n 3 -k 1 --check with the classes of every stratum computed
+    first from the true corner, so only the trace route reads the forged one."""
+    monkeypatch.setattr(classes, "_CM_CACHE", {})
+    for stratum in (1, 2):
+        classes.cm_class(3, 3, stratum)
     real_a_matrix = classes.a_matrix
 
     def bad_a_matrix(m, n, k):
         A = real_a_matrix(m, n, k)
-        A[0][-1] += 1
+        forge(A)
         return A
 
     monkeypatch.setattr(classes, "a_matrix", bad_a_matrix)
-    monkeypatch.setattr(classes, "_CM_CACHE", {})
-    code, _, err = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "1", "--check")
+    return invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "1", "--check")
+
+
+def test_check_flag_reports_trace_failure(capsys, monkeypatch):
+    # a corrupted corner entry A[0][dim] moves the trace route off the class,
+    # which must surface as a consistency failure, not a traceback
+    code, _, err = _cm_check_with_forged_trace(capsys, monkeypatch, lambda A: A[0].__setitem__(-1, A[0][-1] + 1))
     assert code == 3
-    assert "consistency failure" in err and "Traceback" not in err
+    assert "consistency failure: trace route disagrees at (3,3,1)" in err and "Traceback" not in err
+
+
+def test_check_flag_reports_a_negative_hyperplane_power(capsys, monkeypatch):
+    # a row of A longer than dim+1 with a nonzero entry at p = mk+1 = 4 leaves
+    # H^(mk+j-p) = H^-1 in the trace at j = 0: the trace route's own raise
+    code, _, err = _cm_check_with_forged_trace(capsys, monkeypatch, lambda A: A[0].extend([0, 1]))
+    assert code == 3
+    assert "consistency failure: negative hyperplane power survived: H^-1" in err and "Traceback" not in err
+
+
+def test_amatrix_keeps_the_papers_size_at_large_m(capsys):
+    # a_matrix returns the 3x3 corner; the document pads it to m(n-k)+1 = 61
+    code, out, _ = invoke(capsys, "amatrix", "-m", "30", "-n", "3", "-k", "1", "--format", "csv")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()]
+    assert len(rows) == 61 and all(len(row) == 61 for row in rows)
+    assert rows[0][:4] == ["3", "90", "435", "0"]
+    assert not any(int(a) for row in rows[3:] for a in row) and not any(int(a) for row in rows for a in row[3:])
 
 
 def _doubled(real):

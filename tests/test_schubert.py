@@ -33,7 +33,13 @@ from detchern.schubert import (
 )
 from detchern.schubert import _divide_exactly, _rim_hooks, _schur_at_ones
 
-from oracles import a_matrix_localized, schur_product_in_box, tangent_chern_all_terms, tangent_chern_localized
+from oracles import (
+    a_matrix_localized,
+    corner_of,
+    schur_product_in_box,
+    tangent_chern_all_terms,
+    tangent_chern_localized,
+)
 
 
 def boxed(rows, cols):
@@ -355,8 +361,16 @@ A_432 = [
 
 
 def test_a_matrix_known_values():
-    assert a_matrix(3, 3, 1) == A_331
-    assert a_matrix(4, 3, 2) == A_432
+    assert a_matrix(3, 3, 1) == corner_of(A_331, 2)
+    assert a_matrix(4, 3, 2) == corner_of(A_432, 2)
+
+
+@pytest.mark.parametrize("m,n,k", [(9, 9, 7), (8, 8, 4), (9, 9, 2)], ids=["tall", "square", "wide"])
+def test_a_matrix_returns_only_its_corner(m, n, k):
+    # (k(n-k)+1)^2 entries, not the paper's (m(n-k)+1)^2
+    dim = k * (n - k)
+    A = a_matrix(m, n, k)
+    assert len(A) == dim + 1 and all(len(row) == dim + 1 for row in A)
 
 
 @pytest.mark.parametrize("m,n,k", [
@@ -375,7 +389,7 @@ def test_a_matrix_matches_general_product_formula(m, n, k):
         for j in range(box.dim + 1):
             if i + j < size:
                 want[i][i + j] = integrate((tangent * cq[i]) * cs[j])
-    assert a_matrix(m, n, k) == want
+    assert a_matrix(m, n, k) == corner_of(want, box.dim)
 
 
 @pytest.mark.parametrize("m,n,k", [
@@ -386,7 +400,7 @@ def test_a_matrix_matches_general_product_formula(m, n, k):
 ])
 def test_a_matrix_matches_localization(m, n, k):
     # Atiyah-Bott over the k-subsets: no partitions, no Pieri table, no c(T_G)
-    assert a_matrix(m, n, k) == a_matrix_localized(m, n, k)
+    assert a_matrix(m, n, k) == corner_of(a_matrix_localized(m, n, k), k * (n - k))
 
 
 def test_divide_exactly_drops_zeros_and_names_a_remainder():
