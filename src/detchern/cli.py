@@ -17,7 +17,8 @@ options all commands share are declared once, on a parent parser.  Check
 with `python -X importtime -c "import detchern.cli"`.
 
 Exit codes: 0 success, 2 parameter errors, 3 internal consistency failure
-(including a report whose check fails).
+(including a report whose check fails).  A reader that closes stdout early
+(`| head`) is no failure: the run finishes, saves its cache and exits 0.
 Integers are always rendered as decimal strings; repeated invocations with
 identical flags produce byte-identical stdout (timing goes to stderr).
 """
@@ -489,16 +490,20 @@ def run(argv) -> int:
         loaded = load_caches(cache_dir, args.check) if cache_dir else None
         if args.command in KINDS:
             doc = compute_document(args.command, args.m, args.n, args.k, check=args.check)
-            print(getattr(doc, f"to_{args.format}")())
+            text, ok = getattr(doc, f"to_{args.format}")(), True
         else:
             fields, lines, ok = _report(args.command, args.m, args.n)
             if args.format == "json":
                 payload = {"version": DOC_VERSION, "kind": args.command, **fields, "ok": ok}
-                print(json.dumps(payload, sort_keys=True))
+                text = json.dumps(payload, sort_keys=True)
             else:
-                print("\n".join(lines))
-            if not ok:
-                return 3
+                text = "\n".join(lines)
+        try:
+            print(text)
+        except BrokenPipeError:
+            pass  # the reader closed stdout early (`| head`): its choice, not a failure
+        if not ok:
+            return 3
         # a file that loaded cleanly and already holds every entry stays as it is
         if cache_dir and cm_cache_export() != loaded:
             try:
@@ -521,7 +526,12 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # a closed reader: shutdown flushes the rest into os.devnull, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

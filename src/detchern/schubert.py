@@ -10,8 +10,8 @@ the ring the module provides the Chern classes of the universal bundles,
 Chern classes of their m-fold (dualized) direct sums, the total Chern class
 of the tangent bundle from its power sums (Murnaghan-Nakayama rule, one
 bead pass per shape for every power, and Newton's identities, no LR
-products; computed once per box, and for a tall box read off the
-transposed one; the terms t and i-t of p_i(T) cancel
+products; for a tall box read off the transposed one; the terms t and
+i-t of p_i(T) cancel
 for odd i, leaving n p_i(x), and coincide for even i), the degree map, the
 Poincare-duality pairing, and the matrix of degrees of tangent-twisted
 products of those Chern classes that drives the characteristic-class
@@ -23,14 +23,16 @@ dense lists over the shape indices of partitions_in_box, with row Pieri
 steps s_(e), e <= min(k, n-k), in the tall or square box
 max(k, n-k) x min(k, n-k).  A wide box (k < n-k) reads its matrix off
 that pass for G(n-k, n): W -> W^perp swaps S with Q* and Q with S*, so
-A(m, n, k)[i][p] = (-1)^p A(m, n, n-k)[p-i][p], and a box and its
-transpose share one per-box table.  Its columns c(S*^m) are closed by the
-dual Cauchy identity and the hook-content formula, and Poincare duality
-reads each entry off the complement of a row's partition.
+A(m, n, k)[i][p] = (-1)^p A(m, n, n-k)[p-i][p], so a dual pair runs one
+pass.  Its columns c(S*^m) are closed by the dual Cauchy identity and the
+hook-content formula, and Poincare duality reads each entry off the
+complement of a row's partition.
 
-Everything is a pure function of immutable values; the module-level
-caches (LR expansions in partitions, tangent classes and Pieri tables per
-box here) are deterministic and safe to repopulate from concurrent callers.
+Everything is a pure function of immutable values.  This module keeps two
+memos: a Pieri table per tall or square box (c(T_G) included) and the
+corner of A per (m, box), stored as tuples and copied out.  With the LR
+expansions in partitions they are deterministic and safe to repopulate
+from concurrent callers.
 """
 
 from __future__ import annotations
@@ -299,14 +301,14 @@ def _divide_exactly(terms: dict[Partition, int], d: int, name: str) -> dict[Part
     return {nu: c // max(d, 1) for nu, c in terms.items() if c}
 
 
-@lru_cache(maxsize=None)
 def tangent_chern(box: Box) -> ChowClass:
     """Total Chern class of the tangent bundle of G(k, n), reduced into the
     Schubert basis through Newton's identities
     j c_j(T) = sum_i (-1)^(i-1) c_(j-i)(T) p_i(T), run forward: each finished
     c_d adds (-1)^(i-1) c_d p_i(T) to j c_j(T) at j = d+i, from products
     c_d p_t shared by every i.  One rim-hook pass per shape lam gives s_lam p_r
-    for every r, and the class is computed once per box.  A tall box (rows > cols)
+    for every r.  Nothing is kept between calls: its one caller here,
+    _row_pieri, runs once per box.  A tall box (rows > cols)
     takes the conjugate of the wide one's class: G(k, n) = G(n-k, n) swaps
     S* and Q, so it sends s_lam to s_lam'."""
     if box.rows > box.cols:
@@ -345,7 +347,7 @@ def tangent_chern(box: Box) -> ChowClass:
 
 @lru_cache(maxsize=None)
 def _row_pieri(box: Box) -> tuple:
-    """What the row-Pieri pass of a_matrix reads of a box with rows >= cols, none
+    """What the Miller pass of _tall_corner reads of a box with rows >= cols, none
     of it depending on m, built once per box: the shapes lam of partitions_in_box;
     for each, every (e, index of nu) with s_nu a term of s_lam * s_(e) in the box,
     e = 1..min(cols, dim - |lam|); the column offset dim - |lam|; the dense row of
@@ -360,7 +362,6 @@ def _row_pieri(box: Box) -> tuple:
             [conjugate(box.complement(lam)) for lam in shapes])
 
 
-@lru_cache(maxsize=None)
 def _schur_at_ones(lam: Partition, m: int) -> int:
     """s_lam(1^m) by the hook-content formula: prod over cells (i, j) of (m + j - i) / hook."""
     heights = conjugate(lam)
@@ -381,25 +382,36 @@ def a_matrix(m: int, n: int, k: int) -> list[list[int]]:
     is returned, and its size does not grow with m; `detchern amatrix`
     pads it back to the paper's size.
 
-    One Miller pass fills the corner, in the tall or square box
-    max(k, n-k) x min(k, n-k), with its Pieri factor along the short side.
-    Rows: R_i = c(T_G) c_i(Q*^m) by Miller's recurrence for a power, run
-    forward from R_0 = c(T_G): i R_i = sum_e ((m+1)e - i) c_e(Q*) R_(i-e), so
-    a term c s_lam of a finished R_j adds (me - j)(-1)^e c s_nu to i R_i,
-    i = j+e, per term s_nu of s_lam s_(e).  Columns: c_j(S*^m) =
-    sum_{|mu|=j} s_mu'(1^m) s_mu (dual Cauchy), so c s_lam in R_i adds
-    c s_mu'(1^m) at p = i + |mu|, mu its complement.  A wide box (k < n-k)
-    runs the pass for G(n-k, n): W -> W^perp identifies G(k, V) with
-    G(n-k, V*) and pulls the subbundle there back to Q* and the quotient
-    back to S*, so A(m, n, k)[i][p] = (-1)^p A(m, n, n-k)[p-i][p].
+    The corner is read off one Miller pass in the tall or square box
+    max(k, n-k) x min(k, n-k), run once per (m, box) in a process, so a
+    dual pair G(k, n), G(n-k, n) shares it.  The box asked for is checked
+    against the cell limit first, memo hit or not, and every call returns
+    a fresh list.  A wide box (k < n-k) reads the pass for G(n-k, n):
+    W -> W^perp identifies G(k, V) with G(n-k, V*) and pulls the subbundle
+    there back to Q* and the quotient back to S*, so
+    A(m, n, k)[i][p] = (-1)^p A(m, n, n-k)[p-i][p].
     """
     check_params(m, n, k)
     Box.check(k, n - k)  # name the box asked for, not its transpose
-    rows, cols = max(k, n - k), min(k, n - k)
-    box = Box(rows, cols)
+    corner = _tall_corner(Box(max(k, n - k), min(k, n - k)), m)
+    if k < n - k:
+        return [[(-1) ** p * corner[p - i][p] if p >= i else 0 for p in range(len(corner))] for i in range(len(corner))]
+    return [list(row) for row in corner]
+
+
+@lru_cache(maxsize=None)
+def _tall_corner(box: Box, m: int) -> tuple[tuple[int, ...], ...]:
+    """The corner of A in a box with rows >= cols, as immutable rows, by one
+    Miller pass with its Pieri factor along the short side.  Rows:
+    R_i = c(T_G) c_i(Q*^m) by Miller's recurrence for a power, run forward
+    from R_0 = c(T_G): i R_i = sum_e ((m+1)e - i) c_e(Q*) R_(i-e), so a term
+    c s_lam of a finished R_j adds (me - j)(-1)^e c s_nu to i R_i, i = j+e,
+    per term s_nu of s_lam s_(e).  Columns: c_j(S*^m) = sum_{|mu|=j}
+    s_mu'(1^m) s_mu (dual Cauchy), so c s_lam in R_i adds c s_mu'(1^m) at
+    p = i + |mu|, mu its complement."""
     shapes, pieri, column, tangent, conjugates = _row_pieri(box)
     weight = [_schur_at_ones(mu, m) for mu in conjugates]
-    dim = box.dim
+    rows, cols, dim = box.rows, box.cols, box.dim
     sums = [list(tangent)] + [[0] * len(shapes) for _ in range(dim)]  # j R_j at index j
     corner = [[0] * (dim + 1) for _ in range(dim + 1)]
     for j, acc in enumerate(sums):
@@ -414,6 +426,4 @@ def a_matrix(m: int, n: int, k: int) -> list[list[int]]:
             row[j + column[x]] += c * weight[x]
             for e, y in pieri[x]:
                 slots[e][y] += step[e] * c
-    if k < n - k:
-        corner = [[(-1) ** p * corner[p - i][p] if p >= i else 0 for p in range(dim + 1)] for i in range(dim + 1)]
-    return corner
+    return tuple(map(tuple, corner))

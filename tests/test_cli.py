@@ -1,10 +1,15 @@
+import importlib
 import json
+import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import detchern
 from detchern import classes, cli, lagrangian, microlocal, schubert
 from detchern.classes import ProjClass, StrataVector
 from detchern.cli import (
@@ -626,3 +631,83 @@ def test_fulton_milnor_square_only(capsys):
     assert out.strip() == "171,-54,24,0,6,0,0,0,0"
     code, _, _ = invoke(capsys, "fulton", "-m", "4", "-n", "3")
     assert code == 2
+
+
+def test_csm_runs_one_miller_pass_per_dual_pair(capsys, monkeypatch):
+    # the strata of tau(8, 8, 1) are the boxes j x (8-j), j = 1..7: seven
+    # corners of A from four passes, in the tall boxes 7x1, 6x2, 5x3 and 4x4
+    monkeypatch.delenv(cli.CACHE_DIR_ENV, raising=False)
+    monkeypatch.setattr(classes, "_CM_CACHE", {})
+    asked = []
+    real = classes.a_matrix
+    monkeypatch.setattr(classes, "a_matrix", lambda *a: asked.append(a) or real(*a))
+    schubert._tall_corner.cache_clear()
+    assert invoke(capsys, "csm", "-m", "8", "-n", "8", "-k", "1")[0] == 0
+    assert sorted(asked) == [(8, 8, j) for j in range(1, 8)]
+    assert schubert._tall_corner.cache_info().misses == 4
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["cm", "-m", "4", "-n", "4", "-k", "2"], ["scan", "-m", "4", "-n", "4"]],
+                         ids=["document", "report"])
+def test_a_closed_stdout_is_the_readers_choice(capsys, monkeypatch, tmp_path, argv):
+    # no traceback, exit 0, and the cache is saved as by a run that printed
+    monkeypatch.setattr(classes, "_CM_CACHE", {})
+    assert invoke(capsys, *argv, "--cache-dir", str(tmp_path / "plain"))[0] == 0
+    classes._CM_CACHE.clear()
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert run([*argv, "--cache-dir", str(tmp_path / "closed")]) == 0
+    assert re.fullmatch(r"elapsed_ms=\d+\n", capsys.readouterr().err)
+    assert (tmp_path / "closed" / "cm.json").read_bytes() == (tmp_path / "plain" / "cm.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ged", "-m", "3", "-n", "3", "-k", "1"],  # buffered until main() flushes it
+    ["cm", "-m", "3000", "-n", "2", "-k", "1", "--format", "csv"],  # 1.97 MB: print itself fails
+], ids=["short", "long"])
+def test_a_closed_pipe_exits_zero_without_a_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first byte
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        done = subprocess.run([sys.executable, "-m", "detchern.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert done.returncode == 0
+    assert re.fullmatch(r"elapsed_ms=\d+\n", done.stderr)
+
+
+def test_the_conftest_helper_empties_every_engine_memo():
+    # every lru_cache function and module-level _*_CACHE dict of the package,
+    # filled by one run and then emptied by the helper the suite runs after
+    # each module
+    from conftest import empty_engine_memos
+
+    memos = {}
+    for info in pkgutil.iter_modules(detchern.__path__):
+        module = importlib.import_module(f"detchern.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                memos[f"{info.name}.{name}"] = value
+            elif re.fullmatch(r"_\w+_CACHE", name) and isinstance(value, dict):
+                memos[f"{info.name}.{name}"] = value
+
+    def sizes():
+        return {name: memo.cache_info().currsize if hasattr(memo, "cache_clear") else len(memo)
+                for name, memo in memos.items()}
+
+    lagrangian.conormal(5, 5, 2)
+    assert memos and all(sizes().values()), sizes()
+    empty_engine_memos()
+    assert sizes() == dict.fromkeys(memos, 0)

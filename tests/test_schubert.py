@@ -309,16 +309,14 @@ def test_tangent_chern_takes_one_rim_hook_pass_per_shape(monkeypatch):
         return real(box, lam)
 
     monkeypatch.setattr(schubert, "_rim_hooks", counting)
-    tangent_chern.cache_clear()
-    try:
-        assert integrate(tangent_chern(boxed(4, 4))) == binom(8, 4)
-    finally:
-        tangent_chern.cache_clear()
+    assert integrate(tangent_chern(boxed(4, 4))) == binom(8, 4)
     assert calls and max(calls.values()) == 1
     assert {box for box, _ in calls} == {boxed(4, 4)}
 
 
 def test_tall_box_takes_its_tangent_class_from_the_transposed_box(monkeypatch):
+    # one rim-hook pass per shape of the wide box 2x4 below its point class
+    # (the top piece c_8 multiplies nothing), none in the tall box 4x2
     calls = Counter()
     real = schubert._rim_hooks
 
@@ -327,16 +325,9 @@ def test_tall_box_takes_its_tangent_class_from_the_transposed_box(monkeypatch):
         return real(box, lam)
 
     monkeypatch.setattr(schubert, "_rim_hooks", counting)
-    tangent_chern.cache_clear()
-    try:
-        wide = tangent_chern(boxed(2, 4))
-        assert calls and max(calls.values()) == 1
-        assert {(rows, cols) for rows, cols, _ in calls} == {(2, 4)}
-        calls.clear()
-        tall = tangent_chern(boxed(4, 2))
-    finally:
-        tangent_chern.cache_clear()
-    assert not calls
+    tall = tangent_chern(boxed(4, 2))
+    assert calls == Counter({(2, 4, lam): 1 for lam in partitions_in_box(2, 4) if lam != (4, 4)})
+    wide = tangent_chern(boxed(2, 4))
     assert tall.terms == {conjugate(lam): c for lam, c in wide.terms.items()}
     assert tall.terms == tangent_chern_localized(4, 2)
 
@@ -418,6 +409,7 @@ def test_divide_exactly_drops_zeros_and_names_a_remainder():
 ])
 def test_a_matrix_names_a_remainder_of_the_miller_pass(monkeypatch, rows, cols, m, n, k, message):
     # drop the Pieri term s_() * s_(1) = s_(1): i R_i is no longer divisible by i
+    schubert._tall_corner.cache_clear()  # a memoized corner would skip the forged pass
     shapes, pieri, *rest = schubert._row_pieri(boxed(rows, cols))
     forged = [list(terms) for terms in pieri]
     assert forged[0][0] == (1, shapes.index((1,)))
@@ -434,6 +426,7 @@ def test_a_wide_box_multiplies_along_its_short_side_and_shares_the_table(monkeyp
     real = schubert.lr_expansion
     monkeypatch.setattr(schubert, "lr_expansion", lambda lam, mu: calls.append((lam, mu)) or real(lam, mu))
     schubert._row_pieri.cache_clear()
+    schubert._tall_corner.cache_clear()
     a_matrix(7, 7, 2)
     assert calls and {mu for _, mu in calls} == {(1,), (2,)}
     calls.clear()
@@ -450,7 +443,7 @@ def test_a_matrix_takes_no_class_products(monkeypatch):
     monkeypatch.setattr(schubert.ChowClass, "__mul__", refuse)
     monkeypatch.setattr(schubert, "pairing", refuse)
     schubert._row_pieri.cache_clear()
-    tangent_chern.cache_clear()
+    schubert._tall_corner.cache_clear()  # else the second call is a memo hit and checks nothing
     assert a_matrix(6, 6, 3) == want
 
 
@@ -460,8 +453,42 @@ def test_a_matrix_looks_up_lr_expansion_on_a_cold_box(monkeypatch):
     real = schubert.lr_expansion
     monkeypatch.setattr(schubert, "lr_expansion", lambda lam, mu: calls.append((lam, mu)) or real(lam, mu))
     schubert._row_pieri.cache_clear()
+    schubert._tall_corner.cache_clear()
     a_matrix(4, 4, 2)
     assert calls
+
+
+def test_the_schubert_layer_keeps_two_memos():
+    # a Pieri table per box and a corner per (m, box); c(T_G) and the
+    # hook-content weights are recomputed by the one call that needs them
+    memos = {name for name, value in vars(schubert).items() if hasattr(value, "cache_clear")}
+    assert memos == {"_row_pieri", "_tall_corner"}
+
+
+@pytest.mark.parametrize("m,n,k", [(9, 9, 7), (8, 8, 4), (9, 9, 2)], ids=["tall", "square", "wide"])
+def test_a_changed_a_matrix_leaves_the_next_one_unchanged(m, n, k):
+    A = a_matrix(m, n, k)
+    want = [list(row) for row in A]
+    for row in A:
+        row[:] = [7] * len(row)
+    A.append([])
+    assert a_matrix(m, n, k) == want
+
+
+def test_a_memoized_corner_is_refused_past_the_cell_limit():
+    # G(2, 6) and G(4, 6) read the one memoized corner of box 4x2, but the
+    # box asked for is checked first
+    schubert._tall_corner.cache_clear()
+    want = {k: a_matrix(6, 6, k) for k in (2, 4)}
+    assert schubert._tall_corner.cache_info().currsize == 1
+    old = set_box_cell_limit(7)
+    try:
+        for k in (2, 4):
+            with pytest.raises(BoxSizeError, match=f"box {k}x{6 - k} exceeds the cell limit 7"):
+                a_matrix(6, 6, k)
+    finally:
+        set_box_cell_limit(old)
+    assert {k: a_matrix(6, 6, k) for k in (2, 4)} == want
 
 
 def test_a_matrix_zero_pattern():
