@@ -12,7 +12,11 @@ exactly one place (ProjClass.h_coefficients / from_h_coefficients).
 Main routes: cm_class and chern_fulton_hypersurface, polynomial maps in
 the hyperplane class H.  Check route: cm_class_via_trace, the literal
 trace of A * H * b_matrix over the nonzero entries of A, which shares no
-contraction code with them.
+contraction code with them.  Gate: check_closed_forms, the closed forms
+that share no code with the engine (the Giambelli-Thom-Porteous degree
+porteous_degree at [P^dim] and the Euler characteristic at [P^0]); the CLI
+applies it to every entry of cm.json it loads and to every class --check
+computes.
 
 cm_class and at_minus_one_minus_t (the substitution t -> -1-t behind the
 characteristic cycles and the dual involution) are Kronecker
@@ -34,6 +38,7 @@ written once in strata_sum.
 
 from __future__ import annotations
 
+from math import comb, factorial, prod
 from operator import add, mul, neg
 
 from ._record import FrozenRecord
@@ -139,6 +144,32 @@ class StrataVector(FrozenRecord):
 def variety_dim(m: int, n: int, k: int) -> int:
     """dim tau(m, n, k) = (m+k)(n-k) - 1."""
     return (m + k) * (n - k) - 1
+
+
+def porteous_degree(m: int, n: int, k: int) -> int:
+    """Degree of tau(m, n, k) by the Giambelli-Thom-Porteous formula,
+    prod_{i<k} i! (m+i)! / ((n-k+i)! (m-n+k+i)!)."""
+    num = prod(factorial(i) * factorial(m + i) for i in range(k))
+    den = prod(factorial(n - k + i) * factorial(m - n + k + i) for i in range(k))
+    return num // den
+
+
+def check_closed_forms(name: str, m: int, n: int, k: int, coeffs: tuple[int, ...]) -> None:
+    """The one gate on closed forms that share no code with the Schubert
+    engine, for the `cm`, `csm` or `csm_open` class of tau(m, n, k) (`name`):
+    every class has the Porteous degree at [P^dim], and each has its Euler
+    characteristic at [P^0].  The torus scaling rows and columns fixes only
+    the mn matrix units, all of rank one, so that is mn times the Euler
+    obstruction binom(n-1, k) on the rank-one stratum for c_M, mn for the
+    closed variety, and for the open stratum mn when k = n-1, 0 otherwise."""
+    d, degree = variety_dim(m, n, k), porteous_degree(m, n, k)
+    euler = {"cm": m * n * comb(n - 1, k), "csm": m * n, "csm_open": m * n if k == n - 1 else 0}[name]
+    if coeffs[d] != degree:
+        raise ConsistencyError(f"{name} of ({m},{n},{k}) has {coeffs[d]} at [P^{d}], not the degree {degree}")
+    if coeffs[0] != euler:
+        raise ConsistencyError(
+            f"{name} of ({m},{n},{k}) has {coeffs[0]} at [P^0], not the Euler characteristic {euler}"
+        )
 
 
 def check_strata(n: int, k: int) -> None:

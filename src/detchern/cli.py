@@ -1,14 +1,15 @@
 """Command-line surface.
 
-One table, `KINDS`, maps each document kind to its basis label and the
-function that computes it; it drives the subcommands, the documents
-(rendered as JSON, CSV or markdown) and the replay of the bundled reference
-tables.  Three reports, `symmetry`, `scan` and `tables`, check the flip
-symmetries, the effectivity/vanishing conjectures and the reference tables.
-Computed Chern-Mather classes persist across runs in `cm.json`.  One
-function, `_check_closed_forms`, holds the closed forms that share no code
-with the engine; it gates every entry of `cm.json` on load and every class
-`--check` computes.  A file that fails it is rebuilt like any corrupt one.
+One table, `KINDS`, maps each document kind to its basis label, the
+function that computes it and its `--check` route; it drives the
+subcommands, the documents (rendered as JSON, CSV or markdown), the checks
+and the replay of the bundled reference tables.  Three reports, `symmetry`,
+`scan` and `tables`, check the flip symmetries, the effectivity/vanishing
+conjectures and the reference tables.  Computed Chern-Mather classes
+persist across runs in `cm.json`.  The closed forms that share no code with
+the engine live in the library, `classes.check_closed_forms`; they gate
+every entry of `cm.json` on load and every class `--check` computes.  A file
+that fails them is rebuilt like any corrupt one.
 
 Every command is a fresh process, so importing this module does only what
 every command needs: it imports no `dataclasses` (see `_record`), loads the
@@ -19,8 +20,9 @@ with `python -X importtime -c "import detchern.cli"`.
 Exit codes: 0 success, 2 parameter errors, 3 internal consistency failure
 (including a report whose check fails).  A reader that closes stdout early
 (`| head`) is no failure: the run finishes, saves its cache and exits 0.
-Integers are always rendered as decimal strings; repeated invocations with
-identical flags produce byte-identical stdout (timing goes to stderr).
+Integers are always rendered as decimal strings, exactly at any length;
+repeated invocations with identical flags produce byte-identical stdout
+(timing goes to stderr).
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ import re
 import sys
 import time
 from itertools import zip_longest
-from math import comb, factorial, prod
 
 from ._record import Record
 from .classes import (
+    check_closed_forms,
     check_strata,
     chern_fulton_hypersurface,
     cm_cache_export,
@@ -235,7 +237,7 @@ def reproduce_reference_tables(fixtures=None) -> TableReport:
 def load_caches(cache_dir: str, check: bool = False) -> dict | None:
     """Seed the Chern-Mather cache from cm.json; returns the entries when the
     file loaded cleanly, None when it is missing, stale or corrupt (run then
-    rewrites it).  Every entry must pass _check_closed_forms: a file with
+    rewrites it).  Every entry must pass check_closed_forms: a file with
     one that does not is corrupt like any other, and under `check` it is a
     ConsistencyError that names the file (the file is then left as it is)."""
     path = os.path.join(cache_dir, "cm.json")
@@ -259,7 +261,7 @@ def load_caches(cache_dir: str, check: bool = False) -> dict | None:
             d = variety_dim(m, n, k)
             if any(values[d + 1:]):
                 raise ValueError(f"entry {key!r} is not the class of a {d}-dimensional variety")
-            _check_closed_forms("cm", m, n, k, values)
+            check_closed_forms("cm", m, n, k, values)
             entries[(m, n, k)] = values
         cm_cache_import(entries)
         return entries
@@ -295,10 +297,17 @@ def save_caches(cache_dir: str) -> None:
 
 # --- command dispatch -------------------------------------------------------
 #
-# KINDS maps each document kind to (basis, value): `basis` is formatted with
-# k; value(m, n, k) returns the raw value in the shape `detchern.tables`
-# stores it, looking the layer functions up in this module's globals at call
-# time, so a wrapper installed there sees every call.
+# KINDS maps each document kind to (basis, value, check): `basis` is
+# formatted with k; value(m, n, k) returns the raw value in the shape
+# `detchern.tables` stores it; check(m, n, k), or None, is the cross-route
+# assertion behind --check and raises ConsistencyError on a disagreement.
+# Both look the layer functions up in this module's globals at call time, so
+# a wrapper installed there sees every call.
+
+
+def _agree(a, b, message: str) -> None:
+    if a != b:
+        raise ConsistencyError(message)
 
 
 def _padded_a_matrix(m: int, n: int, k: int) -> list[list[int]]:
@@ -311,30 +320,43 @@ def _padded_a_matrix(m: int, n: int, k: int) -> list[list[int]]:
 def _checked_dual_cm(m: int, n: int, k: int) -> tuple[int, ...]:
     check_params(m, n, k)
     dual = dual_cm(cm_class(m, n, k), variety_dim(m, n, k))
-    if dual != cm_class(m, n, n - k):
-        raise ConsistencyError(
-            f"involution image differs from the dual variety class at ({m},{n},{k})"
-        )
+    _agree(dual, cm_class(m, n, n - k), f"involution image differs from the dual variety class at ({m},{n},{k})")
     return dual.coeffs
 
 
+def _check_classes(m: int, n: int, k: int) -> None:
+    """--check of cm, csm and csm_open: the closed forms of all three
+    classes, then the trace route on every stratum.  It reads every stratum,
+    so it refuses the first box past the cell limit before any class."""
+    check_params(m, n, k, k_min=0)
+    check_strata(n, k)
+    for name in ("cm", "csm", "csm_open"):
+        check_closed_forms(name, m, n, k, KINDS[name][1](m, n, k))
+    for j in range(max(k, 1), n):
+        _agree(cm_class_via_trace(m, n, j), cm_class(m, n, j), f"trace route disagrees at ({m},{n},{j})")
+
+
 KINDS = {
-    "cm": ("projective", lambda m, n, k: cm_class(m, n, k).coeffs),
-    "csm": ("projective", lambda m, n, k: csm_class(m, n, k).coeffs),
-    "csm_open": ("projective", lambda m, n, k: csm_open(m, n, k).coeffs),
-    "eu": ("strata:{k}", lambda m, n, k: euler_obstruction(m, n, k).values),
-    "fulton": ("projective", lambda m, n, k: chern_fulton_hypersurface(n).coeffs),
-    "milnor": ("projective", lambda m, n, k: milnor_class(n).coeffs),
-    "conormal": ("biprojective", lambda m, n, k: conormal(m, n, k).dense()),
-    "charcycle": ("biprojective", lambda m, n, k: charcycle(m, n, k).dense()),
-    "charcycle_open": ("biprojective", lambda m, n, k: charcycle_open(m, n, k).dense()),
-    "polar": ("polar", lambda m, n, k: polar_degrees(m, n, k)),
-    "ged": ("scalar", lambda m, n, k: ged(m, n, k)),
-    "microlocal": (
-        "strata:0", lambda m, n, k: solve_multiplicities(determinantal_system(m, n, k)).values
-    ),
-    "amatrix": ("matrix", _padded_a_matrix),
-    "dual_check": ("projective", lambda m, n, k: _checked_dual_cm(m, n, k)),
+    "cm": ("projective", lambda m, n, k: cm_class(m, n, k).coeffs, _check_classes),
+    "csm": ("projective", lambda m, n, k: csm_class(m, n, k).coeffs, _check_classes),
+    "csm_open": ("projective", lambda m, n, k: csm_open(m, n, k).coeffs, _check_classes),
+    "eu": ("strata:{k}", lambda m, n, k: euler_obstruction(m, n, k).values, None),
+    "fulton": ("projective", lambda m, n, k: chern_fulton_hypersurface(n).coeffs, None),
+    "milnor": ("projective", lambda m, n, k: milnor_class(n).coeffs, None),
+    "conormal": ("biprojective", lambda m, n, k: conormal(m, n, k).dense(), lambda m, n, k: _agree(
+        dagger(conormal(m, n, k)), conormal(m, n, n - k), f"conormal flip duality fails at ({m},{n},{k})")),
+    "charcycle": ("biprojective", lambda m, n, k: charcycle(m, n, k).dense(), lambda m, n, k: _agree(
+        charcycle(m, n, k), ch_from_class(csm_class(m, n, k)),
+        f"characteristic cycle routes disagree at ({m},{n},{k})")),
+    "charcycle_open": ("biprojective", lambda m, n, k: charcycle_open(m, n, k).dense(), lambda m, n, k: _agree(
+        charcycle_open(m, n, k), ch_from_class(csm_open(m, n, k)),
+        f"open characteristic cycle routes disagree at ({m},{n},{k})")),
+    "polar": ("polar", lambda m, n, k: polar_degrees(m, n, k), None),
+    "ged": ("scalar", lambda m, n, k: ged(m, n, k), None),
+    "microlocal": ("strata:0", lambda m, n, k: solve_multiplicities(determinantal_system(m, n, k)).values,
+                   lambda m, n, k: ic_char_cycle(m, n, k)),  # the check raises on any disagreement
+    "amatrix": ("matrix", _padded_a_matrix, None),
+    "dual_check": ("projective", lambda m, n, k: _checked_dual_cm(m, n, k), None),
 }
 
 
@@ -343,54 +365,10 @@ def _require(condition: bool, message: str) -> None:
         raise ParameterError(message)
 
 
-def _porteous_degree(m: int, n: int, k: int) -> int:
-    """Degree of tau(m, n, k) by the Giambelli-Thom-Porteous formula,
-    prod_{i<k} i! (m+i)! / ((n-k+i)! (m-n+k+i)!)."""
-    num = prod(factorial(i) * factorial(m + i) for i in range(k))
-    den = prod(factorial(n - k + i) * factorial(m - n + k + i) for i in range(k))
-    return num // den
-
-
-def _check_closed_forms(name: str, m: int, n: int, k: int, coeffs: tuple[int, ...]) -> None:
-    """The one gate on closed forms that share no code with the Schubert
-    engine, for the `cm`, `csm` or `csm_open` class of tau(m, n, k) (`name`):
-    every class has the Porteous degree at [P^dim], and each has its Euler
-    characteristic at [P^0].  The torus scaling rows and columns fixes only
-    the mn matrix units, all of rank one, so that is mn times the Euler
-    obstruction binom(n-1, k) on the rank-one stratum for c_M, mn for the
-    closed variety, and for the open stratum mn when k = n-1, 0 otherwise."""
-    d, degree = variety_dim(m, n, k), _porteous_degree(m, n, k)
-    euler = {"cm": m * n * comb(n - 1, k), "csm": m * n, "csm_open": m * n if k == n - 1 else 0}[name]
-    if coeffs[d] != degree:
-        raise ConsistencyError(f"{name} of ({m},{n},{k}) has {coeffs[d]} at [P^{d}], not the degree {degree}")
-    if coeffs[0] != euler:
-        raise ConsistencyError(
-            f"{name} of ({m},{n},{k}) has {coeffs[0]} at [P^0], not the Euler characteristic {euler}"
-        )
-
-
-def _run_checks(kind: str, m: int, n: int, k: int) -> None:
-    """Cross-route assertions behind --check."""
-    if kind in {"cm", "csm", "csm_open"}:
-        for name in ("cm", "csm", "csm_open"):
-            _check_closed_forms(name, m, n, k, KINDS[name][1](m, n, k))
-        for kk in range(max(k, 1), n):
-            if cm_class_via_trace(m, n, kk) != cm_class(m, n, kk):
-                raise ConsistencyError(f"trace route disagrees at ({m},{n},{kk})")
-    elif kind == "conormal":
-        if dagger(conormal(m, n, k)) != conormal(m, n, n - k):
-            raise ConsistencyError(f"conormal flip duality fails at ({m},{n},{k})")
-    elif kind == "charcycle":
-        if charcycle(m, n, k) != ch_from_class(csm_class(m, n, k)):
-            raise ConsistencyError(f"characteristic cycle routes disagree at ({m},{n},{k})")
-    elif kind == "charcycle_open":
-        if charcycle_open(m, n, k) != ch_from_class(csm_open(m, n, k)):
-            raise ConsistencyError(f"open characteristic cycle routes disagree at ({m},{n},{k})")
-    elif kind == "microlocal":
-        ic_char_cycle(m, n, k)  # raises on any disagreement
-
-
 def compute_document(kind: str, m, n, k, check: bool = False) -> OutputDocument:
+    """The document of `kind` at (m, n, k); under `check` the kind's check
+    route runs first, so a check that reads other strata refuses their boxes
+    before any class is computed."""
     if kind not in KINDS:
         raise ParameterError(f"unknown kind {kind}")
     if kind in {"fulton", "milnor"}:
@@ -400,10 +378,9 @@ def compute_document(kind: str, m, n, k, check: bool = False) -> OutputDocument:
     else:
         _require(m is not None and n is not None and k is not None,
                  f"{kind} requires -m, -n and -k")
-    basis, value = KINDS[kind]
-    if check and kind == "cm":  # its checks read every stratum: refuse before the first
-        check_params(m, n, k, k_min=0)
-        check_strata(n, k)
+    basis, value, check_route = KINDS[kind]
+    if check and check_route:
+        check_route(m, n, k)
     raw = value(m, n, k)
     if basis == "matrix":
         coefficients = [[str(v) for v in row] for row in raw]
@@ -412,10 +389,7 @@ def compute_document(kind: str, m, n, k, check: bool = False) -> OutputDocument:
     meta = {"tool": TOOL_VERSION, "params": {"m": m, "n": n, "k": k}}
     if kind == "dual_check":
         meta["dual_of"] = f"({m},{n},{n - k})"
-    doc = OutputDocument(kind, m, n, k, basis.format(k=k), coefficients, meta)
-    if check:
-        _run_checks(kind, m, n, k)
-    return doc
+    return OutputDocument(kind, m, n, k, basis.format(k=k), coefficients, meta)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,6 +455,10 @@ def run(argv) -> int:
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
     old_limit = None
     started = time.monotonic()
+    # CPython 3.10.7+ caps int <-> str at 4,300 digits: lift it so exact values of any length print and load
+    old_digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if old_digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         if args.max_box is not None:
             try:
@@ -520,6 +498,8 @@ def run(argv) -> int:
     finally:
         if old_limit is not None:
             set_box_cell_limit(old_limit)
+        if old_digits is not None:
+            sys.set_int_max_str_digits(old_digits)
         elapsed_ms = int((time.monotonic() - started) * 1000)
         print(f"elapsed_ms={elapsed_ms}", file=sys.stderr)
     return 0

@@ -288,8 +288,10 @@ def _doubled(real):
     return lambda *args: 2 * real(*args)
 
 
-@pytest.mark.parametrize("argv,module,name,fake,message", [
+CHECK_ROUTES = [
     ("cm --check", cli, "cm_class_via_trace", _doubled, "trace route disagrees at (4,4,2)"),
+    ("csm --check", cli, "cm_class_via_trace", _doubled, "trace route disagrees at (4,4,2)"),
+    ("csm_open --check", cli, "cm_class_via_trace", _doubled, "trace route disagrees at (4,4,2)"),
     ("conormal --check", cli, "dagger", _doubled, "conormal flip duality fails at (4,4,2)"),
     ("charcycle --check", cli, "ch_from_class", _doubled, "characteristic cycle routes disagree at (4,4,2)"),
     ("charcycle_open --check", cli, "ch_from_class", _doubled,
@@ -301,7 +303,12 @@ def _doubled(real):
     ("microlocal --check", microlocal, "obstruction_matrix",
      lambda real: lambda n: [[int(i == j) for i in range(n)] for j in range(n)],
      "microlocal combination differs from the conormal cycle for (4,4,2)"),
-], ids=["trace", "conormal", "charcycle", "charcycle_open", "dual_check", "ambient_stratum", "ic_combination"])
+]
+
+
+@pytest.mark.parametrize("argv,module,name,fake,message", CHECK_ROUTES, ids=[
+    "trace", "csm_trace", "csm_open_trace", "conormal", "charcycle", "charcycle_open", "dual_check",
+    "ambient_stratum", "ic_combination"])
 def test_each_check_route_fails_through_run(capsys, monkeypatch, argv, module, name, fake, message):
     # one route made to disagree with the other: exit 3 naming the route and
     # the case, nothing on stdout, no traceback
@@ -309,6 +316,16 @@ def test_each_check_route_fails_through_run(capsys, monkeypatch, argv, module, n
     code, out, err = invoke(capsys, *argv.split(), "-m", "4", "-n", "4", "-k", "2")
     assert (code, out) == (3, "")
     assert f"consistency failure: {message}\n" in err and "Traceback" not in err
+
+
+def test_kinds_table_matches_its_tests_and_the_readme():
+    # a kind gains a check only with a test that makes it fail, and the
+    # kinds without one are the README's "nothing more" list
+    checked = {kind for kind, (_, _, check) in cli.KINDS.items() if check}
+    assert checked == {argv.split()[0] for argv, *_ in CHECK_ROUTES if "--check" in argv.split()}
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^- (.*?): nothing more", readme, re.M)
+    assert {kind for line in listed for kind in re.findall(r"`(\w+)`", line)} == cli.KINDS.keys() - checked
 
 
 @pytest.mark.parametrize(
@@ -426,6 +443,26 @@ def test_scan_violation_exit_code(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "scan", "-m", "3", "-n", "3", "--format", "csv")
     assert code == 3
     assert "vanishing_violations,1" in out
+
+
+def test_scan_flags_each_violation_of_its_rules(capsys, monkeypatch):
+    # a -1 is an effectivity violation; for n = 3, k = 1 the coefficient at
+    # [P^0] = [P^(n-k-2)] must vanish and the one at [P^(n-k-1)] need not
+    rows = {(2, 2, 1): (5, -1, 0, 0), (3, 2, 1): (0,) * 6,
+            (3, 3, 1): (2, 3, *(0,) * 7), (3, 3, 2): (-1, *(0,) * 8)}
+    monkeypatch.setattr(cli, "csm_open", lambda m, n, k: ProjClass(m * n - 1, rows[m, n, k]))
+    report = scan_conjectures(3, 3)
+    assert report.instances_checked == 4
+    assert report.effectivity_violations == [(2, 2, 1, 1, -1), (3, 3, 2, 0, -1)]
+    assert report.vanishing_violations == [(3, 3, 1, 0, 2)]
+    code, out, _ = invoke(capsys, "scan", "-m", "3", "-n", "3")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["effectivity_violations"] == [[2, 2, 1, 1, -1], [3, 3, 2, 0, -1]]
+    assert payload["vanishing_violations"] == [[3, 3, 1, 0, 2]]
+    code, out, _ = invoke(capsys, "scan", "-m", "3", "-n", "3", "--format", "csv")
+    assert code == 3
+    assert out.splitlines() == ["instances_checked,4", "effectivity_violations,2", "vanishing_violations,1"]
 
 
 def test_scan_instance_enumeration():
@@ -550,6 +587,26 @@ def test_cache_unwritable_dir_warns(capsys, tmp_path):
     assert "warning: could not save cache" in err
     assert "Traceback" not in err
     assert OutputDocument.from_json(out).coefficients[0] == "18"
+
+
+def test_cache_save_that_fails_partway_leaves_the_old_file(capsys, tmp_path, monkeypatch):
+    # the write dies after its first bytes: run warns and exits 0, the temp
+    # file is removed and cm.json keeps the bytes of the last good save
+    monkeypatch.setattr(classes, "_CM_CACHE", {})  # the second run has a class to add
+    cache = tmp_path / "cache"
+    assert invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(cache))[0] == 0
+    before = (cache / "cm.json").read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"cm": {')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+    code, out, err = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "2", "--cache-dir", str(cache))
+    assert code == 0 and OutputDocument.from_json(out).coefficients[0] == "9"
+    assert "warning: could not save cache" in err and "Traceback" not in err
+    assert sorted(p.name for p in cache.iterdir()) == ["cm.json"]
+    assert (cache / "cm.json").read_bytes() == before
 
 
 CM_331 = ["18", "54", "102", "126", "102", "54", "18", "3", "0"]  # cm -m 3 -n 3 -k 1
@@ -711,3 +768,42 @@ def test_the_conftest_helper_empties_every_engine_memo():
     assert memos and all(sizes().values()), sizes()
     empty_engine_memos()
     assert sizes() == dict.fromkeys(memos, 0)
+
+
+@pytest.fixture
+def digit_limit_640():
+    """Lower CPython's int <-> str digit limit to its minimum for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int <-> str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_integers_past_the_digit_limit_print_exactly(capsys, request):
+    # fulton -n 30 has coefficients of up to 1,315 digits
+    argv = ["fulton", "-n", "30", "--format", "csv"]
+    plain = invoke(capsys, *argv)
+    assert plain[0] == 0 and max(map(len, plain[1].split(","))) > 640
+    request.getfixturevalue("digit_limit_640")
+    assert invoke(capsys, *argv)[:2] == plain[:2]
+    assert sys.get_int_max_str_digits() == 640
+    assert invoke(capsys, "fulton", "-n", "1")[0] == 2  # an error path restores it too
+    assert sys.get_int_max_str_digits() == 640
+
+
+def test_cache_entries_past_the_digit_limit_load(capsys, tmp_path, monkeypatch, digit_limit_640):
+    # the class of tau(2500, 2, 1) has coefficients of up to 754 digits:
+    # the second run reads them back as a hit and leaves the file as it is
+    argv = ["cm", "-m", "2500", "-n", "2", "-k", "1", "--format", "csv", "--cache-dir", str(tmp_path)]
+    monkeypatch.setattr(classes, "_CM_CACHE", {})
+    cold = invoke(capsys, *argv)
+    assert cold[0] == 0 and "warning" not in cold[2]
+    before = (tmp_path / "cm.json").stat()
+    classes._CM_CACHE.clear()  # the classes come from the file
+    warm = invoke(capsys, *argv)
+    assert warm[:2] == cold[:2] and "warning" not in warm[2]
+    after = (tmp_path / "cm.json").stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert sys.get_int_max_str_digits() == 640
