@@ -92,38 +92,28 @@ class OutputDocument(Record):
         return cls(**json.loads(blob))
 
     def to_csv(self) -> str:
-        if self.basis == "matrix":
-            return "\n".join(",".join(row) for row in self.coefficients)
-        return ",".join(self.coefficients)
+        return "\n".join(map(",".join, self._rows()))
 
     def to_markdown(self) -> str:
-        labels = self._labels()
-        if self.basis == "matrix":
-            size = len(self.coefficients[0])
-            head = "| i\\p | " + " | ".join(str(p) for p in range(size)) + " |"
-            sep = "|" + "---|" * (size + 1)
-            rows = [
-                f"| {i} | " + " | ".join(row) + " |"
-                for i, row in enumerate(self.coefficients)
-            ]
-            return "\n".join([head, sep, *rows])
-        head = "| " + " | ".join(labels) + " |"
-        sep = "|" + "---|" * len(labels)
-        row = "| " + " | ".join(self.coefficients) + " |"
-        return "\n".join([head, sep, row])
+        head, rows = self._labels(), self._rows()
+        if self.basis == "matrix":  # a matrix also indexes its rows
+            head, rows = ["i\\p", *head], [[str(i), *row] for i, row in enumerate(rows)]
+        lines = ["| " + " | ".join(cells) + " |" for cells in [head, *rows]]
+        return "\n".join([lines[0], "|" + "---|" * len(head), *lines[1:]])
+
+    def _rows(self) -> list[list[str]]:
+        """The table of the document: a matrix's rows, or a vector as one row."""
+        return self.coefficients if self.basis == "matrix" else [self.coefficients]
 
     def _labels(self) -> list[str]:
-        if self.basis == "projective":
-            return [f"P^{l}" for l in range(len(self.coefficients))]
+        """One label per column: a prefix by basis (none for a scalar or a
+        matrix) and the index, offset by the lowest stratum of `strata:lo`."""
+        size = len(self._rows()[0])
         if self.basis == "biprojective":
-            N = len(self.coefficients)
-            return [f"h1^{a}h2^{N + 1 - a}" for a in range(N, 0, -1)]
-        if self.basis.startswith("strata:"):
-            lo = int(self.basis.split(":")[1])
-            return [f"stratum_{lo + i}" for i in range(len(self.coefficients))]
-        if self.basis == "polar":
-            return [f"delta_{l}" for l in range(len(self.coefficients))]
-        return [str(i) for i in range(len(self.coefficients))]
+            return [f"h1^{a}h2^{size + 1 - a}" for a in range(size, 0, -1)]
+        name, _, lo = self.basis.partition(":")
+        prefix = {"projective": "P^", "strata": "stratum_", "polar": "delta_"}.get(name, "")
+        return [f"{prefix}{int(lo or 0) + i}" for i in range(size)]
 
 
 class ScanReport(Record):

@@ -110,6 +110,25 @@ def test_max_box_flag_overrides_limit(capsys):
     assert out.splitlines()[0] == "3,9,3,0,0,0,0"
 
 
+# gED of thin boxes past the 36-cell default (2x28 is 56 cells).  A dual pair
+# shares one Miller pass, so its agreement checks only the corner flip: each
+# value was also computed by Chern-root integration over G(k, n) with the two
+# roots of S* (k = 2) or of Q (k = n-2), an engine with no Schubert basis, no
+# LR rule and no fixed points, and its A gave the same gED by the library's
+# contraction and by the corner sum (-1)^dim sum_(i<=p) (-1)^(p-i) 2^p A[i][p]
+@pytest.mark.parametrize("m,k,limit,value", [
+    (30, 2, ["--max-box", "56"], "429551821262963651844037078957034821874546034307155"),
+    (30, 28, ["--max-box", "56"], "429551821262963651844037078957034821874546034307155"),
+    (20, 2, [], "83330008371330512785423312435710"),
+    (20, 18, [], "83330008371330512785423312435710"),
+])
+def test_ged_of_thin_boxes_past_the_default_limit(capsys, m, k, limit, value):
+    argv = ["ged", "-m", str(m), "-n", str(m), "-k", str(k), "--format", "csv"]
+    assert invoke(capsys, *argv, *limit)[:2] == (0, value + "\n")
+    if limit:
+        assert invoke(capsys, *argv)[:2] == (2, "")
+
+
 @pytest.mark.parametrize("limit", ["0", "-1"])
 def test_max_box_below_one_names_the_flag(capsys, limit):
     # no box fits such a limit, so raising it with set_box_cell_limit() is
@@ -555,7 +574,25 @@ def test_cache_hit_leaves_file_untouched(capsys, tmp_path):
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
-def test_cache_missing_entry_rewritten(capsys, tmp_path):
+def test_a_warm_run_serves_its_classes_from_the_file(capsys, tmp_path, monkeypatch):
+    # the file is seeded, the memos are emptied as in a fresh process, and
+    # then no class may be computed: each must come from cm.json
+    from conftest import empty_engine_memos
+
+    runs = [["cm", "-m", "4", "-n", "4", "-k", "2"], ["ged", "-m", "4", "-n", "4", "-k", "2"]]
+    cold = [invoke(capsys, *argv, "--cache-dir", str(tmp_path))[:2] for argv in runs]
+    assert [code for code, _ in cold] == [0, 0]
+    empty_engine_memos()
+
+    def no_engine(m, n, k):
+        raise AssertionError(f"a_matrix({m}, {n}, {k}) ran on a warm cache")
+
+    monkeypatch.setattr(classes, "a_matrix", no_engine)
+    assert [invoke(capsys, *argv, "--cache-dir", str(tmp_path))[:2] for argv in runs] == cold
+
+
+def test_cache_missing_entry_rewritten(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(classes, "_CM_CACHE", {})  # (3,3,1) reaches the new file only through the old one
     cache = tmp_path / "cache"
     cache.mkdir()
     cm_331 = ["18", "54", "102", "126", "102", "54", "18", "3", "0"]
@@ -621,15 +658,19 @@ CM_331 = ["18", "54", "102", "126", "102", "54", "18", "3", "0"]  # cm -m 3 -n 3
     {"3,3,1": [*CM_331[:7], True, "0"]},  # a JSON bool, which int() reads as 1
     {"3,3,1": [*CM_331[:7], 3.5, "0"]},  # a JSON float, which int() truncates
     {"3,3,1": [*CM_331[:7], "٣", "0"]},  # a non-ASCII digit, which int() accepts
+    # each of the next two passes the closed forms, which read only [P^0] and [P^dim]
+    {"3,3,1": [*CM_331[:8], "1"]},  # nonzero at [P^8], above [P^7] = [P^dim]
+    {"3,4,1": ["36", *["0"] * 10, "1"]},  # n > m, with 12 * binom(3, 1) at [P^0] and degree 1 at [P^11]
 ])
-def test_cache_invalid_entry_rejected(capsys, tmp_path, entry):
+def test_cache_invalid_entry_rejected(capsys, tmp_path, monkeypatch, entry):
+    monkeypatch.setattr(classes, "_CM_CACHE", {})  # the classes are read from the file
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "cm.json").write_text(json.dumps({"version": CACHE_VERSION, "cm": entry}))
     code, out, err = invoke(capsys, "csm", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(cache))
     assert code == 0
     assert "warning: ignoring corrupt cache" in err
-    assert OutputDocument.from_json(out).coefficients[0] == "9"
+    assert OutputDocument.from_json(out).coefficients == "9,36,78,108,96,54,18,3,0".split(",")
     rebuilt = json.loads((cache / "cm.json").read_text())["cm"]
     assert rebuilt["3,3,1"][0] == "18" and len(rebuilt["3,3,1"]) == 9
     assert rebuilt.keys() & entry.keys() <= {"3,3,1"}

@@ -465,14 +465,21 @@ def test_the_schubert_layer_keeps_two_memos():
     assert memos == {"_row_pieri", "_tall_corner"}
 
 
-@pytest.mark.parametrize("m,n,k", [(9, 9, 7), (8, 8, 4), (9, 9, 2)], ids=["tall", "square", "wide"])
+@pytest.mark.parametrize("m,n,k", [(9, 9, 7), (8, 8, 4), (9, 9, 2), (5, 5, 3), (5, 5, 2)],
+                         ids=["tall", "square", "wide", "tall-3x2", "wide-2x3"])
 def test_a_changed_a_matrix_leaves_the_next_one_unchanged(m, n, k):
     A = a_matrix(m, n, k)
+    # the memo holds tuples: a corner of lists could be changed for the whole
+    # process by any holder of one of its rows
+    corner = schubert._tall_corner(Box(max(k, n - k), min(k, n - k)), m)
+    assert type(corner) is tuple and all(type(row) is tuple for row in corner)
     want = [list(row) for row in A]
     for row in A:
         row[:] = [7] * len(row)
     A.append([])
     assert a_matrix(m, n, k) == want
+    schubert._tall_corner.cache_clear()
+    assert a_matrix(m, n, k) == want  # and equal to a cold one
 
 
 def test_a_memoized_corner_is_refused_past_the_cell_limit():
