@@ -27,7 +27,10 @@ Every output coefficient is a signed sum of inputs c times binomials
 binom(j, .), j <= top (the degree), each at most 2^top, so its absolute
 value is at most 2^top sum |c| < 2^(b+top+1), b the bit length of sum |c|
 (cm_class) or of the largest |c| (at_minus_one_minus_t, through sum_j 2^j
-< 2^(top+1)); B = b + top + 2, rounded up to whole bytes, is enough.
+< 2^(top+1)); B = b + top + 2 is enough.  B is rounded up to 1, 2, 4 or 8
+bytes, so that one struct.unpack reads every digit as a signed
+little-endian word, and past 8 bytes to whole bytes, read slice by slice
+(_digit_width).
 
 ProjClass and lagrangian.BiProjClass are both dense integer tuples and
 share their linear operations through CoeffVector.  The c_SM classes of
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 from math import comb, factorial, prod
 from operator import add, mul, neg
+from struct import unpack
 
 from ._record import FrozenRecord
 from .errors import ConsistencyError, ParameterError, check_params
@@ -209,7 +213,7 @@ def at_minus_one_minus_t(p) -> list[int]:
         top -= 1
     if top < 0:
         return [0] * len(p)
-    width = (max(map(int.bit_length, p)) + top + 9) // 8  # bytes per digit; bit_length ignores the sign
+    width = _digit_width(max(map(int.bit_length, p)) + top + 2)  # bit_length ignores the sign
     shift = 8 * width
     q = 0
     for c in reversed(p[: top + 1]):
@@ -217,15 +221,30 @@ def at_minus_one_minus_t(p) -> list[int]:
     return _balanced_digits(q, width, top + 1) + [0] * (len(p) - top - 1)
 
 
+def _digit_width(bits: int) -> int:
+    """Bytes per Kronecker digit of at least `bits` bits: 1, 2, 4 or 8, the
+    sizes one struct word reads, and whole bytes past 8."""
+    width = (bits + 7) // 8
+    return width if width > 8 else 1 << (width - 1).bit_length()
+
+
+_WORDS = {1: "b", 2: "h", 4: "i", 8: "q"}  # struct's signed word per digit width
+
+
 def _balanced_digits(q: int, width: int, count: int) -> list[int]:
     """The lowest `count` balanced digits of q in base X = 2^(8 width), each
     inside (-X/2, X/2): adding X/2 to every digit makes them all
-    nonnegative, so they are the bytes of (q + sum_s X^s X/2) mod X^count."""
+    nonnegative, so they are the bytes of u = (q + sum_s X^s X/2) mod X^count,
+    and flipping the top bit of each digit of u reads back digit - X/2 as a
+    signed little-endian word.  A width of 1, 2, 4 or 8 bytes is decoded by
+    one struct.unpack, a wider one slice by slice."""
     size = width * count
-    q += int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    raw = (q & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-    half = 1 << (8 * width - 1)
-    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
+    halves = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    raw = (((q + halves) & ((1 << 8 * size) - 1)) ^ halves).to_bytes(size, "little")
+    word = _WORDS.get(width)
+    if word:
+        return list(unpack(f"<{count}{word}", raw))
+    return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, size, width)]
 
 
 def b_matrix(m: int, n: int, k: int) -> list[list[int]]:
@@ -260,7 +279,7 @@ def cm_class(m: int, n: int, k: int) -> ProjClass:
         return hit
     top, dim = m * (n - k), k * (n - k)
     corner = a_matrix(m, n, k) if k else [[1]]
-    width = (sum(abs(a) for row in corner for a in row).bit_length() + top + 9) // 8  # bytes per digit
+    width = _digit_width(sum(abs(a) for row in corner for a in row).bit_length() + top + 2)
     shift = 8 * width
     q = 0
     for i, row in enumerate(corner):

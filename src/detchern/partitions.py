@@ -6,7 +6,8 @@ box restriction); callers working in a Grassmannian Chow ring filter the
 result against their box after lookup.  One kernel computes every product:
 s_lam * s_mu adds one horizontal strip per row of mu, the strip of value v
 bounded by the lattice slack that value v-1 left, and counts the chains of
-shapes.  A one-row factor is a single strip (Pieri rule); a factor with
+shapes; a strip fills the rows below the first, and the first row takes
+the rest.  A one-row factor is a single strip (Pieri rule); a factor with
 more rows than columns is expanded through the conjugates, so there are
 never more strips than columns of mu.  The expansion cache is shared
 process-wide and lives in memory only; lr_cache_export/lr_cache_import
@@ -78,25 +79,31 @@ def _horizontal_strips(lam: Partition, r: int, above: list[int] | None = None) -
     r cells: row i grows by at most lam[i-1] - lam[i], the first row freely.
     With `above` (the cells each row of lam gained from the previous value of
     an LR chain), row i also grows by at most its lattice slack: the cells the
-    rows above it gained from the previous value minus the cells they gain now."""
+    rows above it gained from the previous value minus the cells they gain now.
+    The rows below the first are filled first and the first row takes the
+    remainder: its room is r for a Pieri strip and 0 under the lattice bound,
+    so no Pieri branch dies at a leaf."""
     padded = lam + (0,)
-    caps = [r] + [padded[i - 1] - padded[i] for i in range(1, len(padded))]
-    # The slack of row i is sum(above[:i]) - (r - remaining), so the room left
-    # is min(caps[i], remaining + lattice[i]); lattice 0 leaves only caps.
+    caps = [r if above is None else 0] + [padded[i - 1] - padded[i] for i in range(1, len(padded))]
+    # The slack of row i > 0 is sum(above[:i]) - (r - remaining), so the room
+    # left is min(caps[i], remaining + lattice[i]); lattice 0 leaves only caps.
+    # The first row gains nothing under the bound, so the rows below it see
+    # the same remaining cells as when it is filled first.
     lattice = [0] * len(padded) if above is None else [min(p - r, 0) for p in accumulate(above, initial=0)]
     out: list[Partition] = []
 
     def build(row: int, remaining: int, acc: list[int]) -> None:
         if row == len(padded):
-            if remaining == 0:
-                out.append(tuple(acc) if acc[-1] else tuple(acc[:-1]))
+            if remaining <= caps[0]:
+                nu = (padded[0] + remaining, *acc)
+                out.append(nu if nu[-1] else nu[:-1])
             return
         for add in range(min(caps[row], remaining + lattice[row]) + 1):
             acc.append(padded[row] + add)
             build(row + 1, remaining - add, acc)
             acc.pop()
 
-    build(0, r, [])
+    build(1, r, [])
     return out
 
 
@@ -123,7 +130,13 @@ def _lr_chains(lam: Partition, mu: Partition) -> dict[Partition, int]:
 
 def lr_expansion(lam, mu) -> dict[Partition, int]:
     """Expansion of the product of Schur functions s_lam * s_mu in the Schur
-    basis: a map nu -> c^nu_{lam,mu} over the nonzero LR coefficients."""
+    basis: a map nu -> c^nu_{lam,mu} over the nonzero LR coefficients.
+    Normalized tuples are looked up as they are; any other form (lists,
+    trailing zeros) is normalized first."""
+    if type(lam) is tuple and type(mu) is tuple:  # the key as the cache stores it
+        hit = _LR_CACHE.get((lam, mu))
+        if hit is not None:
+            return hit
     lam = normalize(lam)
     mu = normalize(mu)
     key = (lam, mu)

@@ -26,11 +26,14 @@ that pass for G(n-k, n): W -> W^perp swaps S with Q* and Q with S*, so
 A(m, n, k)[i][p] = (-1)^p A(m, n, n-k)[p-i][p], so a dual pair runs one
 pass.  Its columns c(S*^m) are closed by the dual Cauchy identity and the
 hook-content formula, and Poincare duality reads each entry off the
-complement of a row's partition.
+complement of a row's partition; the hook product and contents of each
+column weight do not depend on m, so the weight is one exact division per
+(m, box).
 
 Everything is a pure function of immutable values.  This module keeps two
-memos: a Pieri table per tall or square box (c(T_G) included) and the
-corner of A per (m, box), stored as tuples and copied out.  With the LR
+memos: a Pieri table per tall or square box (c(T_G) and the hook products
+and contents of the column weights included) and the corner of A per
+(m, box), stored as tuples and copied out.  With the LR
 expansions in partitions they are deterministic and safe to repopulate
 from concurrent callers.
 """
@@ -351,7 +354,8 @@ def _row_pieri(box: Box) -> tuple:
     of it depending on m, built once per box: the shapes lam of partitions_in_box;
     for each, every (e, index of nu) with s_nu a term of s_lam * s_(e) in the box,
     e = 1..min(cols, dim - |lam|); the column offset dim - |lam|; the dense row of
-    c(T_G); the conjugate of the complement of lam.  A wide box reads the table
+    c(T_G); the hook product and contents (_hook_content) of the column weight's
+    shape, the conjugate of the complement of lam.  A wide box reads the table
     of its transpose, so the two share it."""
     shapes = partitions_in_box(box.rows, box.cols)
     index = {lam: x for x, lam in enumerate(shapes)}  # nu is in the box iff it has one
@@ -359,17 +363,25 @@ def _row_pieri(box: Box) -> tuple:
               for nu in lr_expansion(lam, (e,)) if nu in index] for lam in shapes]
     tangent = tangent_chern(box).terms
     return (shapes, pieri, [box.dim - sum(lam) for lam in shapes], [tangent.get(lam, 0) for lam in shapes],
-            [conjugate(box.complement(lam)) for lam in shapes])
+            [_hook_content(conjugate(box.complement(lam))) for lam in shapes])
 
 
-def _schur_at_ones(lam: Partition, m: int) -> int:
-    """s_lam(1^m) by the hook-content formula: prod over cells (i, j) of (m + j - i) / hook."""
+def _hook_content(lam: Partition) -> tuple[int, tuple[int, ...]]:
+    """The parts of the hook-content formula
+    s_lam(1^m) = prod over cells (i, j) of (m + j - i) / hook(i, j)
+    that do not depend on m: the product of the hooks and the contents j - i."""
     heights = conjugate(lam)
     cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
-    contents = prod(m + j - i for i, j in cells)
-    value, rem = divmod(contents, prod(lam[i] - j + heights[j] - i - 1 for i, j in cells))
+    return prod(lam[i] - j + heights[j] - i - 1 for i, j in cells), tuple(j - i for i, j in cells)
+
+
+def _schur_at_ones(hook_content: tuple[int, tuple[int, ...]], m: int) -> int:
+    """s_lam(1^m) from _hook_content(lam): prod(m + content) // hook, which
+    must leave no remainder."""
+    hook, contents = hook_content
+    value, rem = divmod(prod([m + c for c in contents]), hook)
     if rem:
-        raise ConsistencyError(f"s_{lam}(1^{m}) is not integral")
+        raise ConsistencyError(f"s_lam(1^{m}) with hook product {hook} and contents {contents} is not integral")
     return value
 
 
@@ -409,8 +421,8 @@ def _tall_corner(box: Box, m: int) -> tuple[tuple[int, ...], ...]:
     per term s_nu of s_lam s_(e).  Columns: c_j(S*^m) = sum_{|mu|=j}
     s_mu'(1^m) s_mu (dual Cauchy), so c s_lam in R_i adds c s_mu'(1^m) at
     p = i + |mu|, mu its complement."""
-    shapes, pieri, column, tangent, conjugates = _row_pieri(box)
-    weight = [_schur_at_ones(mu, m) for mu in conjugates]
+    shapes, pieri, column, tangent, hook_contents = _row_pieri(box)
+    weight = [_schur_at_ones(hc, m) for hc in hook_contents]
     rows, cols, dim = box.rows, box.cols, box.dim
     sums = [list(tangent)] + [[0] * len(shapes) for _ in range(dim)]  # j R_j at index j
     corner = [[0] * (dim + 1) for _ in range(dim + 1)]

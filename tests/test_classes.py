@@ -237,21 +237,42 @@ def test_cm_class_at_large_m_holds_only_the_corner_of_a(monkeypatch):
 
 def test_cm_digit_width_one_byte_short_is_caught():
     # a copy of cm_class with one byte less per digit must give a wrong
-    # class (not only an overflow) on a case the list-Horner test compares
+    # class (not only an overflow) on a case the list-Horner test compares,
+    # both when the byte is lost before the width is rounded up to a word
+    # (which the rounding can hide) and when it is lost after (7 bytes for 8,
+    # 3 for 4, read by the slice loop)
     source = inspect.getsource(classes.cm_class)
-    exact = "+ top + 9) // 8"
+    exact = "+ top + 2)"
     assert source.count(exact) == 1
-    namespace = dict(vars(classes), _CM_CACHE={})
-    exec(compile(source.replace(exact, "+ top + 1) // 8"), classes.__file__, "exec"), namespace)
-    short = namespace["cm_class"]
 
-    def wrong(key):
+    def short_copy(source, digit_width):
+        namespace = dict(vars(classes), _CM_CACHE={}, _digit_width=digit_width)
+        exec(compile(source, classes.__file__, "exec"), namespace)
+        return namespace["cm_class"]
+
+    def wrong(short, key):
         try:
             return short(*key) != cm_by_list_horner(*key)
         except (OverflowError, ValueError):
             return False
 
-    assert any(wrong(key) for m in range(2, 13) for key in mnk_up_to(m))
+    before = short_copy(source.replace(exact, "+ top - 6)"), classes._digit_width)
+    after = short_copy(source, lambda bits: classes._digit_width(bits) - 1)
+    for short in (before, after):
+        assert any(wrong(short, key) for m in range(2, 13) for key in mnk_up_to(m))
+
+
+@pytest.mark.parametrize("count", [1, 60])
+@pytest.mark.parametrize("width", range(1, 10))
+def test_balanced_digits_round_trip(width, count):
+    # widths 1, 2, 4 and 8 are read as struct words, the others slice by
+    # slice; digits at both ends of (-X/2, X/2) catch a wrong byte order or
+    # half offset on either path, and negative ones borrow from the next
+    top = (1 << 8 * width - 1) - 1
+    patterns = [[0] * count, [top] * count, [-top] * count, [(0, top, -top)[s % 3] for s in range(count)]]
+    for digits in patterns:
+        q = sum(d << 8 * width * s for s, d in enumerate(digits))
+        assert classes._balanced_digits(q, width, count) == digits
 
 
 def test_trace_route_visits_only_the_nonzero_entries_of_a(monkeypatch):

@@ -10,6 +10,7 @@ from detchern import schubert
 from detchern.errors import BoxSizeError, ConsistencyError, ParameterError
 from detchern.partitions import (
     _LR_CACHE,
+    _horizontal_strips,
     binom,
     conjugate,
     lr_expansion,
@@ -31,7 +32,7 @@ from detchern.schubert import (
     tangent_chern,
     zero,
 )
-from detchern.schubert import _divide_exactly, _rim_hooks, _schur_at_ones
+from detchern.schubert import _divide_exactly, _hook_content, _rim_hooks, _schur_at_ones
 
 from oracles import (
     a_matrix_localized,
@@ -203,8 +204,8 @@ def test_bundle_powers_match_cauchy_closed_forms(rows, cols):
         cq = bundle_power_chern(chern_Q(box), m, dualize=True)
         for d in range(box.dim + 1):
             shapes = [lam for lam in partitions_in_box(rows, cols) if sum(lam) == d]
-            assert cs[d] == ChowClass(box, {mu: _schur_at_ones(conjugate(mu), m) for mu in shapes}), (m, d)
-            assert cq[d] == ChowClass(box, {lam: (-1) ** d * _schur_at_ones(lam, m) for lam in shapes}), (m, d)
+            assert cs[d] == ChowClass(box, {mu: _schur_at_ones(_hook_content(conjugate(mu)), m) for mu in shapes}), (m, d)
+            assert cq[d] == ChowClass(box, {lam: (-1) ** d * _schur_at_ones(_hook_content(lam), m) for lam in shapes}), (m, d)
 
 
 def test_tangent_chern_projective_line():
@@ -419,6 +420,22 @@ def test_a_matrix_names_a_remainder_of_the_miller_pass(monkeypatch, rows, cols, 
         a_matrix(m, n, k)
 
 
+@pytest.mark.parametrize("m,n,k", [(4, 4, 2), (6, 6, 2)], ids=["square", "wide"])
+def test_a_matrix_names_a_remainder_of_a_column_weight(monkeypatch, m, n, k):
+    # the table keeps the hook product of each column weight; one that does
+    # not divide its content product must stop the pass, not give 0
+    schubert._tall_corner.cache_clear()  # a memoized corner would skip the forged weights
+    box = boxed(max(k, n - k), min(k, n - k))
+    *head, hook_contents = schubert._row_pieri(box)
+    point = head[0].index(box.full)  # its weight's shape is empty: hook 1, no contents
+    assert hook_contents[point] == (1, ())
+    forged = list(hook_contents)
+    forged[point] = (2, ())
+    monkeypatch.setattr(schubert, "_row_pieri", lambda b: (*head, forged))
+    with pytest.raises(ConsistencyError, match=r"s_lam\(1\^%d\) with hook product 2 and contents \(\) is not integral$" % m):
+        a_matrix(m, n, k)
+
+
 def test_a_wide_box_multiplies_along_its_short_side_and_shares_the_table(monkeypatch):
     # box 2x5 runs its pass in its tall partner 5x2, asking only for s_(e) with
     # e <= 2, and that table then serves G(5, 7) as it is
@@ -459,8 +476,9 @@ def test_a_matrix_looks_up_lr_expansion_on_a_cold_box(monkeypatch):
 
 
 def test_the_schubert_layer_keeps_two_memos():
-    # a Pieri table per box and a corner per (m, box); c(T_G) and the
-    # hook-content weights are recomputed by the one call that needs them
+    # a Pieri table per box, which also keeps c(T_G) and the hook products
+    # and contents of the column weights, and a corner per (m, box), which
+    # divides those products once per m; nothing else is memoized
     memos = {name for name, value in vars(schubert).items() if hasattr(value, "cache_clear")}
     assert memos == {"_row_pieri", "_tall_corner"}
 
@@ -563,6 +581,51 @@ def test_lr_expansion_matches_schur_oracle(lam, mu):
     want = schur_oracle(lam, mu)
     assert lr_expansion(lam, mu) == want
     assert _LR_CACHE[(lam, mu)] == want
+
+
+def brute_force_strips(lam, r):
+    """Every nu with nu/lam a horizontal strip of r cells: nu_i in
+    [lam_i, lam_(i-1)] below the first row (nu_1 >= lam_1 free), with one more
+    row than lam, by trying each row length independently."""
+    padded = lam + (0,)
+    out = set()
+
+    def grow(i, acc):
+        if i == len(padded):
+            if sum(acc) - sum(lam) == r:
+                out.add(tuple(p for p in acc if p))
+            return
+        high = padded[0] + r if i == 0 else padded[i - 1]
+        for p in range(padded[i], high + 1):
+            grow(i + 1, acc + [p])
+
+    grow(0, [])
+    return out
+
+
+def test_horizontal_strips_match_brute_force_on_the_4x4_box():
+    # the builder fills rows 2.. first and gives row 1 the rest, so every
+    # leaf of a Pieri strip is kept; none may be lost or found twice
+    for lam in partitions_in_box(4, 4):
+        for r in range(7):
+            got = _horizontal_strips(lam, r)
+            assert len(got) == len(set(got)), (lam, r)
+            assert set(got) == brute_force_strips(lam, r), (lam, r)
+
+
+@pytest.mark.parametrize("lam,mu", [((2, 1), (2,)), ((2, 1), (2, 1)), ((3, 1), (1, 1, 1)), ((), (2, 1)), ((2,), ())])
+def test_lr_expansion_normalizes_lists_and_trailing_zeros(lam, mu):
+    # a tuple key already normalized is looked up as it is; any other form
+    # is normalized first, and gets the same answer warm and cold
+    _LR_CACHE.clear()
+    want = lr_expansion(lam, mu)
+    forms = [(list(lam), list(mu)), (lam + (0,), mu + (0, 0)), (list(lam) + [0], mu)]
+    for a, b in forms:  # the cache holds the key
+        assert lr_expansion(a, b) == want, (a, b)
+    for a, b in forms:  # the cache does not
+        _LR_CACHE.clear()
+        assert lr_expansion(a, b) == want, (a, b)
+        assert set(_LR_CACHE) == {(lam, mu)}, (a, b)
 
 
 @given(box_and_partitions(count=1, max_side=4), st.integers(1, 5), st.booleans())
