@@ -27,10 +27,8 @@ Every output coefficient is a signed sum of inputs c times binomials
 binom(j, .), j <= top (the degree), each at most 2^top, so its absolute
 value is at most 2^top sum |c| < 2^(b+top+1), b the bit length of sum |c|
 (cm_class) or of the largest |c| (at_minus_one_minus_t, through sum_j 2^j
-< 2^(top+1)); B = b + top + 2 is enough.  B is rounded up to 1, 2, 4 or 8
-bytes, so that one struct.unpack reads every digit as a signed
-little-endian word, and past 8 bytes to whole bytes, read slice by slice
-(_digit_width).
+< 2^(top+1)); B = b + top + 2 is enough, rounded up to whole bytes
+(_digit_width), and each digit is read as one signed little-endian slice.
 
 ProjClass and lagrangian.BiProjClass are both dense integer tuples and
 share their linear operations through CoeffVector.  The c_SM classes of
@@ -42,8 +40,7 @@ written once in strata_sum.
 from __future__ import annotations
 
 from math import comb, factorial, prod
-from operator import add, mul, neg
-from struct import unpack
+from operator import add, neg
 
 from ._record import FrozenRecord
 from .errors import ConsistencyError, ParameterError, check_params
@@ -188,19 +185,14 @@ def strata_sum(n: int, k: int, open_stratum: bool, term, zero):
     w_i = binom(k+i, k) for the open stratum of kernel dimension exactly k
     and w_i = binom(k+i-1, k-1) for the closure tau(m, n, k).  Every
     stratum's box is checked before the first term.  `zero` fixes the
-    vector type and size; a term of another type or size is a ValueError, as
-    in CoeffVector.__add__.  One pass over the coefficient positions sums
-    every term at once."""
+    vector type and size; a term of another type or size is a ValueError
+    from CoeffVector.__add__."""
     check_strata(n, k)
-    weights, vectors = [], []
+    total = zero
     for i in range(n - k):
-        v = term(k + i)
-        if type(v) is not type(zero) or len(v.coeffs) != len(zero.coeffs):
-            raise ValueError("ambient dimension mismatch")
         w = binom(k + i, k) if open_stratum else binom(k + i - 1, k - 1)
-        weights.append(-w if i & 1 else w)
-        vectors.append(v.coeffs)
-    return zero._new(sum(map(mul, weights, column)) for column in zip(*vectors))
+        total = total + (-w if i & 1 else w) * term(k + i)
+    return total
 
 
 def at_minus_one_minus_t(p) -> list[int]:
@@ -222,13 +214,9 @@ def at_minus_one_minus_t(p) -> list[int]:
 
 
 def _digit_width(bits: int) -> int:
-    """Bytes per Kronecker digit of at least `bits` bits: 1, 2, 4 or 8, the
-    sizes one struct word reads, and whole bytes past 8."""
-    width = (bits + 7) // 8
-    return width if width > 8 else 1 << (width - 1).bit_length()
-
-
-_WORDS = {1: "b", 2: "h", 4: "i", 8: "q"}  # struct's signed word per digit width
+    """Bytes per Kronecker digit of at least `bits` bits: the whole bytes
+    that hold them."""
+    return (bits + 7) // 8
 
 
 def _balanced_digits(q: int, width: int, count: int) -> list[int]:
@@ -236,14 +224,10 @@ def _balanced_digits(q: int, width: int, count: int) -> list[int]:
     inside (-X/2, X/2): adding X/2 to every digit makes them all
     nonnegative, so they are the bytes of u = (q + sum_s X^s X/2) mod X^count,
     and flipping the top bit of each digit of u reads back digit - X/2 as a
-    signed little-endian word.  A width of 1, 2, 4 or 8 bytes is decoded by
-    one struct.unpack, a wider one slice by slice."""
+    signed little-endian slice of `width` bytes."""
     size = width * count
     halves = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
     raw = (((q + halves) & ((1 << 8 * size) - 1)) ^ halves).to_bytes(size, "little")
-    word = _WORDS.get(width)
-    if word:
-        return list(unpack(f"<{count}{word}", raw))
     return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, size, width)]
 
 

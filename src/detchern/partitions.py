@@ -9,15 +9,19 @@ bounded by the lattice slack that value v-1 left, and counts the chains of
 shapes; a strip fills the rows below the first, and the first row takes
 the rest.  A one-row factor is a single strip (Pieri rule); a factor with
 more rows than columns is expanded through the conjugates, so there are
-never more strips than columns of mu.  The expansion cache is shared
-process-wide and lives in memory only; lr_cache_export/lr_cache_import
-snapshot and seed it.
+never more strips than columns of mu.  lr_expansion normalizes its
+arguments and then looks the expansion up in a cache that is shared
+process-wide and lives in memory only; it holds read-only views, so no
+caller can change a later product.  lr_cache_export/lr_cache_import
+snapshot it as plain dicts and seed it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import accumulate
 from math import comb
+from types import MappingProxyType
 
 Partition = tuple[int, ...]
 
@@ -70,8 +74,8 @@ def partitions_in_box(rows: int, cols: int) -> tuple[Partition, ...]:
     return tuple(sorted(out))
 
 
-# Universal LR expansions, keyed by the (lam, mu) pair exactly as requested.
-_LR_CACHE: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
+# Universal LR expansions as read-only views, keyed by the normalized (lam, mu).
+_LR_CACHE: dict[tuple[Partition, Partition], Mapping[Partition, int]] = {}
 
 
 def _horizontal_strips(lam: Partition, r: int, above: list[int] | None = None) -> list[Partition]:
@@ -128,15 +132,11 @@ def _lr_chains(lam: Partition, mu: Partition) -> dict[Partition, int]:
     return out
 
 
-def lr_expansion(lam, mu) -> dict[Partition, int]:
+def lr_expansion(lam, mu) -> Mapping[Partition, int]:
     """Expansion of the product of Schur functions s_lam * s_mu in the Schur
-    basis: a map nu -> c^nu_{lam,mu} over the nonzero LR coefficients.
-    Normalized tuples are looked up as they are; any other form (lists,
-    trailing zeros) is normalized first."""
-    if type(lam) is tuple and type(mu) is tuple:  # the key as the cache stores it
-        hit = _LR_CACHE.get((lam, mu))
-        if hit is not None:
-            return hit
+    basis: a read-only map nu -> c^nu_{lam,mu} over the nonzero LR
+    coefficients.  Both arguments (tuples, lists, trailing zeros) are
+    normalized, and the normalized pair is looked up once."""
     lam = normalize(lam)
     mu = normalize(mu)
     key = (lam, mu)
@@ -151,7 +151,7 @@ def lr_expansion(lam, mu) -> dict[Partition, int]:
         result = {conjugate(nu): c for nu, c in _lr_chains(conjugate(lam), conjugate(mu)).items()}
     else:
         result = _lr_chains(lam, mu)
-    _LR_CACHE[key] = result
+    _LR_CACHE[key] = result = MappingProxyType(result)
     return result
 
 
@@ -161,6 +161,7 @@ def lr_cache_export() -> dict[tuple[Partition, Partition], dict[Partition, int]]
 
 
 def lr_cache_import(entries: dict[tuple[Partition, Partition], dict[Partition, int]]) -> None:
-    """Seed the LR cache; existing keys are kept (values are deterministic)."""
+    """Seed the LR cache with read-only copies; existing keys are kept
+    (values are deterministic)."""
     for key, value in entries.items():
-        _LR_CACHE.setdefault(key, dict(value))
+        _LR_CACHE.setdefault(key, MappingProxyType(dict(value)))

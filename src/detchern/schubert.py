@@ -87,10 +87,6 @@ class Box(FrozenRecord):
                 f"{_box_cell_limit}; raise it with set_box_cell_limit()"
             )
 
-    def _values(self) -> tuple[int, int]:
-        # a Box keys the per-box caches, so == and hash read the fields directly
-        return self.rows, self.cols
-
     @property
     def dim(self) -> int:
         return self.rows * self.cols

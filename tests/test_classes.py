@@ -238,9 +238,8 @@ def test_cm_class_at_large_m_holds_only_the_corner_of_a(monkeypatch):
 def test_cm_digit_width_one_byte_short_is_caught():
     # a copy of cm_class with one byte less per digit must give a wrong
     # class (not only an overflow) on a case the list-Horner test compares,
-    # both when the byte is lost before the width is rounded up to a word
-    # (which the rounding can hide) and when it is lost after (7 bytes for 8,
-    # 3 for 4, read by the slice loop)
+    # both when the byte is lost from the bit bound and when it is lost from
+    # the width _digit_width returns
     source = inspect.getsource(classes.cm_class)
     exact = "+ top + 2)"
     assert source.count(exact) == 1
@@ -265,9 +264,9 @@ def test_cm_digit_width_one_byte_short_is_caught():
 @pytest.mark.parametrize("count", [1, 60])
 @pytest.mark.parametrize("width", range(1, 10))
 def test_balanced_digits_round_trip(width, count):
-    # widths 1, 2, 4 and 8 are read as struct words, the others slice by
-    # slice; digits at both ends of (-X/2, X/2) catch a wrong byte order or
-    # half offset on either path, and negative ones borrow from the next
+    # every width is read slice by slice; digits at both ends of (-X/2, X/2)
+    # catch a wrong byte order or half offset, and negative ones borrow from
+    # the next
     top = (1 << 8 * width - 1) - 1
     patterns = [[0] * count, [top] * count, [-top] * count, [(0, top, -top)[s % 3] for s in range(count)]]
     for digits in patterns:

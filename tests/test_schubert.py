@@ -13,6 +13,8 @@ from detchern.partitions import (
     _horizontal_strips,
     binom,
     conjugate,
+    lr_cache_export,
+    lr_cache_import,
     lr_expansion,
     partitions_in_box,
 )
@@ -615,8 +617,8 @@ def test_horizontal_strips_match_brute_force_on_the_4x4_box():
 
 @pytest.mark.parametrize("lam,mu", [((2, 1), (2,)), ((2, 1), (2, 1)), ((3, 1), (1, 1, 1)), ((), (2, 1)), ((2,), ())])
 def test_lr_expansion_normalizes_lists_and_trailing_zeros(lam, mu):
-    # a tuple key already normalized is looked up as it is; any other form
-    # is normalized first, and gets the same answer warm and cold
+    # every form is normalized before the one lookup, and gets the same
+    # answer warm and cold
     _LR_CACHE.clear()
     want = lr_expansion(lam, mu)
     forms = [(list(lam), list(mu)), (lam + (0,), mu + (0, 0)), (list(lam) + [0], mu)]
@@ -626,6 +628,23 @@ def test_lr_expansion_normalizes_lists_and_trailing_zeros(lam, mu):
         _LR_CACHE.clear()
         assert lr_expansion(a, b) == want, (a, b)
         assert set(_LR_CACHE) == {(lam, mu)}, (a, b)
+
+
+def test_lr_expansion_cannot_be_changed_by_a_caller():
+    # the cache hands out read-only views: a caller's edit raises and the
+    # next product (and the exported snapshot) is unchanged
+    _LR_CACHE.clear()
+    want = {(3, 1): 1, (2, 2): 1, (2, 1, 1): 1}
+    got = lr_expansion((2, 1), (1,))
+    with pytest.raises(TypeError):
+        got[(9,)] = 5
+    assert lr_expansion((2, 1), (1,)) == want
+    snapshot = lr_cache_export()
+    assert snapshot == {((2, 1), (1,)): want} and type(snapshot[(2, 1), (1,)]) is dict
+    lr_cache_import({((3,), (1,)): {(4,): 1, (3, 1): 1}})
+    with pytest.raises(TypeError):
+        lr_expansion([3], (1, 0))[(9,)] = 5
+    assert lr_expansion((3,), (1,)) == {(4,): 1, (3, 1): 1}
 
 
 @given(box_and_partitions(count=1, max_side=4), st.integers(1, 5), st.booleans())
