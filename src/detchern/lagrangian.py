@@ -3,15 +3,21 @@
 Projectivized conormal cycles, characteristic cycles of the closed
 varieties and of their open strata, polar degrees, generic Euclidean
 distance degrees, the exponent-swapping flip, and the dual-variety
-involution on Chern-Mather classes.  Main routes: ch_from_class and
+involution on Chern-Mather classes.  Main routes: conormal reads the
+conormal cycle straight off the corner of the degree matrix A
+(schubert.a_matrix), by one Horner pass in (1+t) over a plain list of
+2 dim + 1 polar degrees; its docstring derives that contraction from
+cm_class by H = -1/(1+t).  Characteristic cycles are strata sums of it,
+so none of them reads a Chern-Mather class.  ch_from_class and
 involution_dual substitute t -> -1-t (classes.at_minus_one_minus_t), one
 Horner pass on a single integer at t = 2^B, with B = (largest bit length
 of a coefficient) + (degree) + 2 bits, enough for every coefficient of the
 image.  Each map is exactly one pass, by two identities: for p = t G,
 (1+t) G(-1-t) = -p(-1-t); and for s(u) = q(u) + (-1)^N q(-1) u^(N+1),
 s(-1-t) = q(-1-t) - q(-1)(1+t)^(N+1), whose cut at t^N is the involution.
-Check route: polar_degrees checks the conormal coefficients against the
-polar-class binomial sums over the Chern-Mather class, by Pascal's rule.
+Check route: polar_degrees compares the polar window of conormal with
+that of (-1)^d ch_from_class(cm_class), so the two routes share only A,
+and the check also covers cm_class and a class read from cm.json.
 
 A BiProjClass is a classes.CoeffVector: its N coefficients are stored
 densely by descending h1 exponent (h1^N h2, ..., h1 h2^N), the order of
@@ -30,7 +36,7 @@ from ._record import Record
 from .classes import CoeffVector, ProjClass, at_minus_one_minus_t, cm_class, strata_sum, variety_dim
 from .errors import ConsistencyError, ParameterError, check_params
 from .partitions import binom
-from .schubert import Box
+from .schubert import Box, a_matrix
 
 
 class BiProjClass(CoeffVector):
@@ -82,14 +88,32 @@ def conormal(m: int, n: int, k: int) -> BiProjClass:
     """Projectivized conormal cycle of tau(m, n, k): the characteristic
     cycle of its local Euler obstruction, normalized by (-1)^dim so all
     coefficients are nonnegative polar degrees.  The box cell limit applies
-    to a memoized cycle too."""
+    to a memoized cycle too.
+
+    Read straight off the corner of A, with dim = k(n-k), a = mk - dim and
+    b = (m-k)(n-k): the coefficient of t^j, on h1^(mn-j) h2^j, is that of
+    t^b sum_(i<=p<=dim) (-1)^(dim+i-p) A[i][p] t^(dim-i) (1+t)^p, a window
+    of 2 dim + 1 polar degrees from t^b.  It is (-1)^d ch_from_class of
+    cm_class's sum_(i,p) A[i][p] H^(mk+i-p) (1+H)^(b+dim-i) mod H^mn: ch
+    reads c_M at H = -1/(1+t), so 1+H = t/(1+t), times (-1)^(mn-1) (1+t)^mn.
+    Each term lands on t^(b+dim-i) (1+t)^(p-mn), as mk + b + dim =
+    a + b + 2 dim = mn, and the factor (1+t)^mn leaves (1+t)^p.  Its sign
+    (-1)^(mn-1+mk+i-p+d) is (-1)^(dim+i-p), as mn-1-d = a.  The truncation
+    mod H^mn drops only the A[0][0] H^mn term, which lands on t^0, and the
+    cycle has no t^0."""
     check_params(m, n, k)
     Box.check(k, n - k)
     key = (m, n, k)
     hit = _CON_CACHE.get(key)
     if hit is None:
-        sign = (-1) ** variety_dim(m, n, k)
-        hit = sign * ch_from_class(cm_class(m, n, k))
+        dim, b = k * (n - k), (m - k) * (n - k)
+        corner = a_matrix(m, n, k)
+        w = [0] * (2 * dim + 1)  # index = power of t, from t^b
+        for p in range(dim, -1, -1):  # Horner's rule in (1+t) over the columns of A
+            w = list(map(add, w, [0, *w[:-1]]))  # the top entry is still zero here
+            for i in range(p + 1):
+                w[dim - i] += -corner[i][p] if (dim + i - p) & 1 else corner[i][p]
+        hit = BiProjClass(m * n - 1, [0] * (b - 1) + w + [0] * (m * k - dim - 1))
         _CON_CACHE[key] = hit
     return hit
 
@@ -114,29 +138,30 @@ def charcycle_open(m: int, n: int, k: int) -> BiProjClass:
 def polar_degrees(m: int, n: int, k: int) -> list[int]:
     """Polar degrees delta_0..delta_d of tau(m, n, k).
 
-    Primary route: read the conormal-cycle coefficient at
-    h1^(codim+l) h2^(mn-codim-l).  Secondary route: the polar-class degree
-    sums over the Chern-Mather coefficients, by Pascal's rule on plain lists
-    (no Kronecker pass, so it shares no code with the first).  The routes must agree.
+    Primary route: the conormal-cycle coefficient at
+    h1^(codim+l) h2^(d+1-l), which `conormal` reads off the corner of A as
+    the coefficient of t^(d+1-l) in
+    t^b sum_(i<=p<=dim) (-1)^(dim+i-p) A[i][p] t^(dim-i) (1+t)^p
+    (dim = k(n-k), b = (m-k)(n-k)).  Secondary route: the same coefficients
+    of (-1)^d ch_from_class(cm_class), the substitution t -> -1-t on c_M.
+    The two are equal because H = -1/(1+t) turns cm_class's contraction of A
+    into the first: the (1+t) exponents sum to p since a + b + 2 dim = mn
+    with a = mk - dim, and the truncation mod H^mn only touches t^0, which
+    the cycle drops (see `conormal`).  The routes share only A, so this
+    check also covers cm_class and a class read from cm.json, and they must
+    agree.  A c_M off anywhere up to [P^d] moves this window: (1+t) G(-1-t)
+    has degree at most d+1, and a difference that is a constant c at t^0
+    alone would need G(-1-t) = c/(1+t), so c = 0.
     """
     check_params(m, n, k)
-    N = m * n - 1
     d = variety_dim(m, n, k)
-    codim = N - d
-    con = conormal(m, n, k)
-    from_con = [con.coefficient(codim + l) for l in range(d + 1)]
-    beta = cm_class(m, n, k).coeffs
-    # sum_(i<=l) binom(d-i+1, d-l+1) (-1)^i beta_(d-i) is [x^(d+1-l)] of P = sum_i (-1)^i beta_(d-i)
-    # (1+x)^(d+1-i), built by Pascal's rule P <- (P + (-1)^i beta_(d-i)) (1+x) on a plain list
-    P = [0]
-    for i in range(d + 1):
-        P[0] += -beta[d - i] if i & 1 else beta[d - i]
-        P = list(map(add, [*P, 0], [0, *P]))
-    from_polar = P[d + 1 : 0 : -1]
+    # delta_l sits on h1^(codim+l) h2^(d+1-l), stored at index d-l
+    from_con = list(conormal(m, n, k).coeffs[d::-1])
+    from_polar = list(((-1) ** d * ch_from_class(cm_class(m, n, k))).coeffs[d::-1])
     if from_con != from_polar:
         raise ConsistencyError(
             f"polar degree routes disagree for ({m},{n},{k}): "
-            f"conormal {from_con} vs polar classes {from_polar}"
+            f"conormal {from_con} vs ch of c_M {from_polar}"
         )
     return from_con
 

@@ -392,6 +392,39 @@ def assert_forged_cache_is_named_then_rebuilt(capsys, monkeypatch, cache, argv, 
     assert invoke(capsys, *argv, "--check", "--cache-dir", str(cache))[0] == 0
 
 
+def test_a_forged_middle_coefficient_changes_no_lagrangian_answer(capsys, tmp_path, monkeypatch):
+    # [P^36] of c_M(tau(7, 7, 3)) lies between the closed forms at [P^0] and
+    # [P^39], so the forged entry loads.  The cycles are read off A and print
+    # a cold run's bytes; every route that compares with a class read from the
+    # file exits 3, and plain `cm` prints the entry as it is
+    argv = ["-m", "7", "-n", "7", "-k", "3"]
+    cache = ["--cache-dir", str(tmp_path)]
+    assert invoke(capsys, "cm", *argv, *cache)[0] == 0
+    truth = {kind: invoke(capsys, kind, *argv)[1] for kind in ("conormal", "charcycle")}
+    path = tmp_path / "cm.json"
+    data = json.loads(path.read_text())
+    data["cm"]["7,7,3"][36] = str(int(data["cm"]["7,7,3"][36]) + 1)
+    path.write_text(json.dumps(data))
+
+    def warm(*args):
+        monkeypatch.setattr(classes, "_CM_CACHE", {})  # as a fresh process: only the file is warm
+        monkeypatch.setattr(lagrangian, "_CON_CACHE", {})
+        return invoke(capsys, *args, *argv, *cache)
+
+    for kind, cold in truth.items():
+        assert warm(kind)[:2] == (0, cold)
+    for args, why in [(["ged"], "polar degree routes disagree for (7,7,3)"),
+                      (["polar"], "polar degree routes disagree for (7,7,3)"),
+                      (["charcycle", "--check"], "characteristic cycle routes disagree at (7,7,3)"),
+                      (["cm", "--check"], "trace route disagrees at (7,7,3)")]:
+        code, out, err = warm(*args)
+        assert (code, out) == (3, "")
+        assert f"consistency failure: {why}" in err and "Traceback" not in err
+    code, out, _ = warm("cm", "--format", "csv")
+    assert code == 0 and out.split(",")[36] == data["cm"]["7,7,3"][36]
+    assert json.loads(path.read_text()) == data
+
+
 @pytest.mark.parametrize("kind", ["cm", "csm", "csm_open"])
 def test_check_flag_rejects_forged_degree(capsys, tmp_path, monkeypatch, kind):
     # tau(4, 4, 2) has dimension 11 and Porteous degree 20; the forged entry

@@ -147,6 +147,28 @@ def test_polar_degrees_refuse_a_forged_conormal_cycle(monkeypatch):
         polar_degrees(5, 4, 2)
 
 
+def test_polar_routes_share_only_a(monkeypatch):
+    # a Chern-Mather class one off at [P^5], inside the polar window of
+    # tau(5, 4, 2) (d = 13): the conormal cycle, read off A, does not see it,
+    # and the second route of the polar degrees, which reads c_M, does
+    want = conormal(5, 4, 2)
+    real = cm_class(5, 4, 2)
+    forged = ProjClass(real.ambient_dim, [c + (i == 5) for i, c in enumerate(real.coeffs)])
+    monkeypatch.setattr(lagrangian, "cm_class", lambda m, n, k: forged)
+    monkeypatch.setattr(lagrangian, "_CON_CACHE", {})  # nothing memoized hides the patch
+    assert conormal(5, 4, 2) == want
+    for route in (polar_degrees, ged):
+        with pytest.raises(ConsistencyError, match=r"polar degree routes disagree for \(5,4,2\)"):
+            route(5, 4, 2)
+
+
+@pytest.mark.parametrize("m,n,k", [(m, n, k) for m in range(2, 10) for n in range(2, m + 1) for k in range(1, n)]
+                         + [(1000, 2, 1), (300, 4, 2)])
+def test_conormal_is_the_signed_ch_of_the_chern_mather_class(m, n, k):
+    # the contraction of A's corner that `conormal` runs is ch of c_M at H = -1/(1+t)
+    assert conormal(m, n, k) == (-1) ** variety_dim(m, n, k) * ch_from_class(cm_class(m, n, k))
+
+
 @pytest.mark.parametrize("m,n,k,value", tables.GED)
 def test_ged_reference(m, n, k, value):
     assert ged(m, n, k) == value
