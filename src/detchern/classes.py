@@ -7,7 +7,8 @@ and of its open strata, local Euler obstructions, and (for the
 hypersurface case) the Chern-Fulton and Milnor classes.  All classes live
 in the Chow group of P^(mn-1) and are stored little-endian over the basis
 [P^0], ..., [P^N]; the reversal to hyperplane-power coefficients happens in
-exactly one place (ProjClass.h_coefficients / from_h_coefficients).
+ProjClass.h_coefficients / from_h_coefficients, and where cm_class and
+lagrangian.dual_cm build their results through CoeffVector._trusted.
 
 Main routes: cm_class and chern_fulton_hypersurface, polynomial maps in
 the hyperplane class H.  Check route: cm_class_via_trace, the literal
@@ -51,22 +52,37 @@ from .schubert import Box, a_matrix
 class CoeffVector:
     """Dense integer coefficient vector over a basis indexed by an ambient
     dimension; subclasses fix how many coefficients that dimension has
-    (ambient_dim + _EXTRA) and how to read them."""
+    (ambient_dim + _EXTRA) and how to read them.
+
+    Two ways in.  The public constructor validates: every coefficient must
+    be a plain int (a str, a float or a bool is a TypeError, not parsed or
+    truncated), and there must be ambient_dim + _EXTRA of them (else a
+    ValueError).  _trusted skips both checks: the engine builds through it
+    what it computed itself as a tuple of plain ints of the right length
+    (cm_class, conormal, dual_cm and the linear operations below)."""
 
     __slots__ = ("coeffs",)
     _EXTRA = 0
 
     def __init__(self, ambient_dim: int, coeffs=None):
         size = ambient_dim + self._EXTRA
-        coeffs = (0,) * size if coeffs is None else tuple(int(c) for c in coeffs)
+        if coeffs is None:
+            coeffs = (0,) * size
+        else:
+            coeffs = tuple(coeffs)
+            for c in coeffs:
+                if type(c) is not int:
+                    raise TypeError(f"coefficient {c!r} is not an int")
         if len(coeffs) != size:
             raise ValueError(f"expected {size} coefficients, got {len(coeffs)}")
         self.coeffs = coeffs
 
-    def _new(self, coeffs):
-        """A vector of the same type and ambient dimension; no validation."""
-        out = object.__new__(type(self))
-        out.coeffs = tuple(coeffs)
+    @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...]):
+        """A vector of this type over the tuple `coeffs` as it is: no
+        conversion, no check of its length."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
         return out
 
     def is_zero(self) -> bool:
@@ -75,18 +91,18 @@ class CoeffVector:
     def __add__(self, other):
         if type(other) is not type(self) or len(other.coeffs) != len(self.coeffs):
             raise ValueError("ambient dimension mismatch")
-        return self._new(map(add, self.coeffs, other.coeffs))
+        return self._trusted(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return self._new(map(neg, self.coeffs))
+        return self._trusted(tuple(map(neg, self.coeffs)))
 
     def __mul__(self, scalar: int):
         if not isinstance(scalar, int):
             return NotImplemented
-        return self._new([a * scalar for a in self.coeffs])
+        return self._trusted(tuple([a * scalar for a in self.coeffs]))
 
     __rmul__ = __mul__
 
@@ -107,7 +123,7 @@ class ProjClass(CoeffVector):
     def ambient_dim(self) -> int:
         return len(self.coeffs) - 1
 
-    # The single conversion point between the [P^l] basis and powers of the
+    # The public conversion between the [P^l] basis and powers of the
     # hyperplane class: coefficient of H^j equals coefficient of [P^(N-j)].
     def h_coefficients(self) -> tuple[int, ...]:
         return tuple(reversed(self.coeffs))
@@ -276,7 +292,9 @@ def cm_class(m: int, n: int, k: int) -> ProjClass:
         packed.append(c.to_bytes(width, "little"))
         c = c * (top - dim - j) // (j + 1)
     q *= int.from_bytes(b"".join(packed), "little")
-    out = ProjClass.from_h_coefficients([0] * (m * k - dim) + _balanced_digits(q, width, top + dim))
+    # the digits are the coefficients of H^(mk-dim)..H^(mn-1), so reversed they
+    # are [P^0]..[P^(mn-1-mk+dim)]; the mk-dim classes above are zero
+    out = ProjClass._trusted((*_balanced_digits(q, width, top + dim)[::-1], *(0,) * (m * k - dim)))
     _CM_CACHE[key] = out
     return out
 

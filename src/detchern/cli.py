@@ -434,6 +434,18 @@ def _report(command: str, m, n) -> tuple[dict, list[str], bool]:
     return fields, lines, report.ok
 
 
+def _cache_note(cache_dir, loaded, m, n) -> str:
+    """The end of the stderr line of a consistency failure: the cm.json the
+    run loaded and the classes of tau(m, n, .) it holds, so that a failure
+    caused by a forged entry (polar, ged and the --check routes compare with
+    c_M) can be traced to the file; empty when it holds none."""
+    held = sorted(key for key in loaded or () if key[:2] == (m, n))
+    if not held:
+        return ""
+    keys = ", ".join(f"({','.join(map(str, key))})" for key in held)
+    return f"; cache {os.path.join(cache_dir, 'cm.json')} holds c_M of {keys}"
+
+
 def run(argv) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
@@ -443,7 +455,7 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
-    old_limit = None
+    old_limit = loaded = None
     started = time.monotonic()
     # CPython 3.10.7+ caps int <-> str at 4,300 digits: lift it so exact values of any length print and load
     old_digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
@@ -483,7 +495,7 @@ def run(argv) -> int:
         print(f"error: {str(exc).replace('set_box_cell_limit()', '--max-box')}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
-        print(f"consistency failure: {exc}", file=sys.stderr)
+        print(f"consistency failure: {exc}{_cache_note(cache_dir, loaded, args.m, args.n)}", file=sys.stderr)
         return 3
     finally:
         if old_limit is not None:

@@ -58,7 +58,7 @@ class BiProjClass(CoeffVector):
 
     def dagger(self) -> "BiProjClass":
         """Swap the h1 and h2 exponents of every monomial (an involution)."""
-        return self._new(reversed(self.coeffs))
+        return self._trusted(self.coeffs[::-1])
 
     def __repr__(self):
         N = self.N
@@ -113,7 +113,7 @@ def conormal(m: int, n: int, k: int) -> BiProjClass:
             w = list(map(add, w, [0, *w[:-1]]))  # the top entry is still zero here
             for i in range(p + 1):
                 w[dim - i] += -corner[i][p] if (dim + i - p) & 1 else corner[i][p]
-        hit = BiProjClass(m * n - 1, [0] * (b - 1) + w + [0] * (m * k - dim - 1))
+        hit = BiProjClass._trusted((*(0,) * (b - 1), *w, *(0,) * (m * k - dim - 1)))
         _CON_CACHE[key] = hit
     return hit
 
@@ -194,7 +194,8 @@ def dual_cm(c: ProjClass, dim_x: int) -> ProjClass:
     # the dual has dimension N - low, low the lowest nonzero H-power of the
     # image; a zero image reads low = N, and any sign leaves it zero
     low = next((j for j, v in enumerate(r) if v), N)
-    return (-1 if (dim_x + N - low) & 1 else 1) * ProjClass.from_h_coefficients(r)
+    # H^j goes to [P^(N-j)], with the sign applied on the way
+    return ProjClass._trusted(tuple(-v for v in reversed(r)) if (dim_x + N - low) & 1 else r[::-1])
 
 
 class SymmetryReport(Record):

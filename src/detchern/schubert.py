@@ -21,9 +21,9 @@ be nonzero; it takes no products of classes: its rows
 come from c(T_G) in one pass of Miller's recurrence for c(Q*)^m, on
 dense lists over the shape indices of partitions_in_box, with row Pieri
 steps s_(e), e <= min(k, n-k), in the tall or square box
-max(k, n-k) x min(k, n-k).  A wide box (k < n-k) reads its matrix off
-that pass for G(n-k, n): W -> W^perp swaps S with Q* and Q with S*, so
-A(m, n, k)[i][p] = (-1)^p A(m, n, n-k)[p-i][p], so a dual pair runs one
+max(k, n-k) x min(k, n-k).  A wide box (k < n-k) flips the matrix of
+G(n-k, n) once: W -> W^perp swaps S with Q* and Q with S*, so
+A(m, n, k)[i][p] = (-1)^p A(m, n, n-k)[p-i][p], and a dual pair runs one
 pass.  Its columns c(S*^m) are closed by the dual Cauchy identity and the
 hook-content formula, and Poincare duality reads each entry off the
 complement of a row's partition; the hook product and contents of each
@@ -33,7 +33,8 @@ column weight do not depend on m, so the weight is one exact division per
 Everything is a pure function of immutable values.  This module keeps two
 memos: a Pieri table per tall or square box (c(T_G) and the hook products
 and contents of the column weights included) and the corner of A per
-(m, box), stored as tuples and copied out.  With the LR
+(m, n, k), stored as tuples and copied out; a wide key holds the flip of
+its tall partner's.  With the LR
 expansions in partitions they are deterministic and safe to repopulate
 from concurrent callers.
 """
@@ -341,13 +342,13 @@ def tangent_chern(box: Box) -> ChowClass:
             if not i & 1:
                 for t in range(1, i // 2 + 1):
                     times(by_t[t], i - t, (1 if 2 * t == i else 2) * comb(i, t) * (-1) ** t, out)
-    return ChowClass(box, chern)
+    return ChowClass._trusted(box, chern)  # rim hooks give normalized shapes in the box
 
 
 @lru_cache(maxsize=None)
 def _row_pieri(box: Box) -> tuple:
-    """What the Miller pass of _tall_corner reads of a box with rows >= cols, none
-    of it depending on m, built once per box: the shapes lam of partitions_in_box;
+    """What _miller_pass reads of a box with rows >= cols, none of it
+    depending on m, built once per box: the shapes lam of partitions_in_box;
     for each, every (e, index of nu) with s_nu a term of s_lam * s_(e) in the box,
     e = 1..min(cols, dim - |lam|); the column offset dim - |lam|; the dense row of
     c(T_G); the hook product and contents (_hook_content) of the column weight's
@@ -390,25 +391,32 @@ def a_matrix(m: int, n: int, k: int) -> list[list[int]]:
     is returned, and its size does not grow with m; `detchern amatrix`
     pads it back to the paper's size.
 
-    The corner is read off one Miller pass in the tall or square box
-    max(k, n-k) x min(k, n-k), run once per (m, box) in a process, so a
-    dual pair G(k, n), G(n-k, n) shares it.  The box asked for is checked
-    against the cell limit first, memo hit or not, and every call returns
-    a fresh list.  A wide box (k < n-k) reads the pass for G(n-k, n):
-    W -> W^perp identifies G(k, V) with G(n-k, V*) and pulls the subbundle
-    there back to Q* and the quotient back to S*, so
-    A(m, n, k)[i][p] = (-1)^p A(m, n, n-k)[p-i][p].
+    The corner is memoized per (m, n, k) (_corner), so a call copies its
+    rows into fresh lists and computes nothing on a hit.  The box asked for
+    is checked against the cell limit first, memo hit or not.
     """
     check_params(m, n, k)
     Box.check(k, n - k)  # name the box asked for, not its transpose
-    corner = _tall_corner(Box(max(k, n - k), min(k, n - k)), m)
-    if k < n - k:
-        return [[(-1) ** p * corner[p - i][p] if p >= i else 0 for p in range(len(corner))] for i in range(len(corner))]
-    return [list(row) for row in corner]
+    return [list(row) for row in _corner(m, n, k)]
 
 
 @lru_cache(maxsize=None)
-def _tall_corner(box: Box, m: int) -> tuple[tuple[int, ...], ...]:
+def _corner(m: int, n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The corner of A(m, n, k) as immutable rows.  A tall or square box
+    (k >= n-k) runs one Miller pass (_miller_pass) in the box k x (n-k).  A
+    wide box (k < n-k) flips its tall partner's memoized corner once:
+    W -> W^perp identifies G(k, V) with G(n-k, V*) and pulls the subbundle
+    there back to Q* and the quotient back to S*, so
+    A(m, n, k)[i][p] = (-1)^p A(m, n, n-k)[p-i][p], and a dual pair
+    G(k, n), G(n-k, n) runs one pass."""
+    if k >= n - k:
+        return _miller_pass(Box(k, n - k), m)
+    tall = _corner(m, n, n - k)
+    return tuple((0,) * i + tuple(-tall[p - i][p] if p & 1 else tall[p - i][p] for p in range(i, len(tall)))
+                 for i in range(len(tall)))
+
+
+def _miller_pass(box: Box, m: int) -> tuple[tuple[int, ...], ...]:
     """The corner of A in a box with rows >= cols, as immutable rows, by one
     Miller pass with its Pieri factor along the short side.  Rows:
     R_i = c(T_G) c_i(Q*^m) by Miller's recurrence for a power, run forward
@@ -416,7 +424,8 @@ def _tall_corner(box: Box, m: int) -> tuple[tuple[int, ...], ...]:
     c s_lam of a finished R_j adds (me - j)(-1)^e c s_nu to i R_i, i = j+e,
     per term s_nu of s_lam s_(e).  Columns: c_j(S*^m) = sum_{|mu|=j}
     s_mu'(1^m) s_mu (dual Cauchy), so c s_lam in R_i adds c s_mu'(1^m) at
-    p = i + |mu|, mu its complement."""
+    p = i + |mu|, mu its complement.  Not memoized itself: _corner keeps
+    its result."""
     shapes, pieri, column, tangent, hook_contents = _row_pieri(box)
     weight = [_schur_at_ones(hc, m) for hc in hook_contents]
     rows, cols, dim = box.rows, box.cols, box.dim

@@ -9,7 +9,7 @@ def empty_engine_memos() -> None:
     lagrangian._CON_CACHE.clear()
     partitions._LR_CACHE.clear()
     schubert._row_pieri.cache_clear()
-    schubert._tall_corner.cache_clear()
+    schubert._corner.cache_clear()
 
 
 @pytest.fixture(autouse=True, scope="module")

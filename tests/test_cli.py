@@ -420,6 +420,8 @@ def test_a_forged_middle_coefficient_changes_no_lagrangian_answer(capsys, tmp_pa
         code, out, err = warm(*args)
         assert (code, out) == (3, "")
         assert f"consistency failure: {why}" in err and "Traceback" not in err
+        # and the line names the file and the class it read from there
+        assert f"; cache {path} holds c_M of (7,7,3)\n" in err
     code, out, _ = warm("cm", "--format", "csv")
     assert code == 0 and out.split(",")[36] == data["cm"]["7,7,3"][36]
     assert json.loads(path.read_text()) == data
@@ -608,20 +610,29 @@ def test_cache_hit_leaves_file_untouched(capsys, tmp_path):
 
 
 def test_a_warm_run_serves_its_classes_from_the_file(capsys, tmp_path, monkeypatch):
-    # the file is seeded, the memos are emptied as in a fresh process, and
-    # then no class may be computed: each must come from cm.json
+    # the file is seeded, and each warm run starts with the memos emptied as
+    # in a fresh process.  Every binding of the engine is counted: a_matrix
+    # where classes, lagrangian and cli read it, and the Miller pass under
+    # them all.  cm.json holds only c_M, so a warm `cm` runs no pass, and a
+    # warm `ged` runs exactly one: its conormal route reads A, not c_M
     from conftest import empty_engine_memos
 
     runs = [["cm", "-m", "4", "-n", "4", "-k", "2"], ["ged", "-m", "4", "-n", "4", "-k", "2"]]
     cold = [invoke(capsys, *argv, "--cache-dir", str(tmp_path))[:2] for argv in runs]
     assert [code for code, _ in cold] == [0, 0]
-    empty_engine_memos()
+    calls = []
 
-    def no_engine(m, n, k):
-        raise AssertionError(f"a_matrix({m}, {n}, {k}) ran on a warm cache")
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
 
-    monkeypatch.setattr(classes, "a_matrix", no_engine)
-    assert [invoke(capsys, *argv, "--cache-dir", str(tmp_path))[:2] for argv in runs] == cold
+    for module in (classes, lagrangian, cli):
+        monkeypatch.setattr(module, "a_matrix", counted(f"{module.__name__}.a_matrix", module.a_matrix))
+    monkeypatch.setattr(schubert, "_miller_pass", counted("pass", schubert._miller_pass))
+    for argv, want, engine in zip(runs, cold, [[], ["detchern.lagrangian.a_matrix", "pass"]]):
+        empty_engine_memos()
+        calls.clear()
+        assert invoke(capsys, *argv, "--cache-dir", str(tmp_path))[:2] == want
+        assert calls == engine
 
 
 def test_cache_missing_entry_rewritten(capsys, tmp_path, monkeypatch):
@@ -769,13 +780,14 @@ def test_csm_runs_one_miller_pass_per_dual_pair(capsys, monkeypatch):
     # corners of A from four passes, in the tall boxes 7x1, 6x2, 5x3 and 4x4
     monkeypatch.delenv(cli.CACHE_DIR_ENV, raising=False)
     monkeypatch.setattr(classes, "_CM_CACHE", {})
-    asked = []
-    real = classes.a_matrix
+    asked, passes = [], []
+    real, real_pass = classes.a_matrix, schubert._miller_pass
     monkeypatch.setattr(classes, "a_matrix", lambda *a: asked.append(a) or real(*a))
-    schubert._tall_corner.cache_clear()
+    monkeypatch.setattr(schubert, "_miller_pass", lambda box, m: passes.append((box.rows, box.cols)) or real_pass(box, m))
+    schubert._corner.cache_clear()
     assert invoke(capsys, "csm", "-m", "8", "-n", "8", "-k", "1")[0] == 0
     assert sorted(asked) == [(8, 8, j) for j in range(1, 8)]
-    assert schubert._tall_corner.cache_info().misses == 4
+    assert sorted(passes) == [(4, 4), (5, 3), (6, 2), (7, 1)]
 
 
 class ClosedPipe:

@@ -315,3 +315,46 @@ def test_vector_types_do_not_mix():
         p + b
     with pytest.raises(ValueError):
         b - p
+
+
+ENGINE_KEYS = [(m, n, k) for m in range(2, 8) for n in range(2, m + 1) for k in range(1, n)]
+
+
+@pytest.mark.parametrize("m,n,k", ENGINE_KEYS, ids=[f"{m}-{n}-{k}" for m, n, k in ENGINE_KEYS])
+def test_every_engine_class_holds_plain_ints_of_the_right_length(m, n, k):
+    # the engine builds these through CoeffVector._trusted, which checks
+    # nothing, so the trust rests on what each builder hands it
+    def plain(vector, size):
+        return type(vector.coeffs) is tuple and len(vector.coeffs) == size and all(
+            type(c) is int for c in vector.coeffs)
+
+    for name, f in {"cm_class": cm_class, "csm_class": csm_class, "csm_open": csm_open}.items():
+        assert plain(f(m, n, k), m * n), name
+        assert plain(f(m, n, 0), m * n), name  # G(0, n) is a point
+    for name, f in {"conormal": conormal, "charcycle": charcycle, "charcycle_open": charcycle_open}.items():
+        assert plain(f(m, n, k), m * n - 1), name
+    assert plain(dual_cm(cm_class(m, n, k), variety_dim(m, n, k)), m * n)
+    box = schubert.Box(k, n - k)
+    for shape, c in schubert.tangent_chern(box).terms.items():
+        assert shape == schubert.normalize(shape) and box.fits(shape) and type(c) is int and c
+
+
+@pytest.mark.parametrize("cls,dim", [(ProjClass, 2), (BiProjClass, 3)])
+def test_the_public_constructors_still_validate(cls, dim):
+    # only the engine's own results skip the checks; a caller's vector is
+    # read as it is given, never parsed, truncated or padded
+    assert cls(dim, [1, -2, 3]).coeffs == (1, -2, 3)
+    for bad in (["1", 2, 3], [1, 2.0, 3], [1, 2, 2.5], [True, 2, 3]):
+        with pytest.raises(TypeError, match="is not an int"):
+            cls(dim, bad)
+        if cls is ProjClass:
+            with pytest.raises(TypeError, match="is not an int"):
+                ProjClass.from_h_coefficients(bad)
+    for size in (2, 4):
+        with pytest.raises(ValueError, match=f"expected 3 coefficients, got {size}"):
+            cls(dim, [1] * size)
+    box = schubert.Box(2, 2)
+    assert schubert.ChowClass(box, {(2, 1): 1, (0,): 0}).terms == {(2, 1): 1}
+    for shape in [(3,), (1, 1, 1), (2, 2, 1)]:
+        with pytest.raises(ValueError, match="does not fit in 2x2"):
+            schubert.ChowClass(box, {shape: 1})

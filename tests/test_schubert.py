@@ -412,7 +412,7 @@ def test_divide_exactly_drops_zeros_and_names_a_remainder():
 ])
 def test_a_matrix_names_a_remainder_of_the_miller_pass(monkeypatch, rows, cols, m, n, k, message):
     # drop the Pieri term s_() * s_(1) = s_(1): i R_i is no longer divisible by i
-    schubert._tall_corner.cache_clear()  # a memoized corner would skip the forged pass
+    schubert._corner.cache_clear()  # a memoized corner would skip the forged pass
     shapes, pieri, *rest = schubert._row_pieri(boxed(rows, cols))
     forged = [list(terms) for terms in pieri]
     assert forged[0][0] == (1, shapes.index((1,)))
@@ -426,7 +426,7 @@ def test_a_matrix_names_a_remainder_of_the_miller_pass(monkeypatch, rows, cols, 
 def test_a_matrix_names_a_remainder_of_a_column_weight(monkeypatch, m, n, k):
     # the table keeps the hook product of each column weight; one that does
     # not divide its content product must stop the pass, not give 0
-    schubert._tall_corner.cache_clear()  # a memoized corner would skip the forged weights
+    schubert._corner.cache_clear()  # a memoized corner would skip the forged weights
     box = boxed(max(k, n - k), min(k, n - k))
     *head, hook_contents = schubert._row_pieri(box)
     point = head[0].index(box.full)  # its weight's shape is empty: hook 1, no contents
@@ -445,7 +445,7 @@ def test_a_wide_box_multiplies_along_its_short_side_and_shares_the_table(monkeyp
     real = schubert.lr_expansion
     monkeypatch.setattr(schubert, "lr_expansion", lambda lam, mu: calls.append((lam, mu)) or real(lam, mu))
     schubert._row_pieri.cache_clear()
-    schubert._tall_corner.cache_clear()
+    schubert._corner.cache_clear()
     a_matrix(7, 7, 2)
     assert calls and {mu for _, mu in calls} == {(1,), (2,)}
     calls.clear()
@@ -462,7 +462,7 @@ def test_a_matrix_takes_no_class_products(monkeypatch):
     monkeypatch.setattr(schubert.ChowClass, "__mul__", refuse)
     monkeypatch.setattr(schubert, "pairing", refuse)
     schubert._row_pieri.cache_clear()
-    schubert._tall_corner.cache_clear()  # else the second call is a memo hit and checks nothing
+    schubert._corner.cache_clear()  # else the second call is a memo hit and checks nothing
     assert a_matrix(6, 6, 3) == want
 
 
@@ -472,17 +472,18 @@ def test_a_matrix_looks_up_lr_expansion_on_a_cold_box(monkeypatch):
     real = schubert.lr_expansion
     monkeypatch.setattr(schubert, "lr_expansion", lambda lam, mu: calls.append((lam, mu)) or real(lam, mu))
     schubert._row_pieri.cache_clear()
-    schubert._tall_corner.cache_clear()
+    schubert._corner.cache_clear()
     a_matrix(4, 4, 2)
     assert calls
 
 
 def test_the_schubert_layer_keeps_two_memos():
     # a Pieri table per box, which also keeps c(T_G) and the hook products
-    # and contents of the column weights, and a corner per (m, box), which
-    # divides those products once per m; nothing else is memoized
+    # and contents of the column weights, and a corner per (m, n, k), which
+    # divides those products once per m (a wide key holds the flip of its
+    # tall partner's corner); nothing else is memoized, the pass included
     memos = {name for name, value in vars(schubert).items() if hasattr(value, "cache_clear")}
-    assert memos == {"_row_pieri", "_tall_corner"}
+    assert memos == {"_row_pieri", "_corner"}
 
 
 @pytest.mark.parametrize("m,n,k", [(9, 9, 7), (8, 8, 4), (9, 9, 2), (5, 5, 3), (5, 5, 2)],
@@ -490,24 +491,27 @@ def test_the_schubert_layer_keeps_two_memos():
 def test_a_changed_a_matrix_leaves_the_next_one_unchanged(m, n, k):
     A = a_matrix(m, n, k)
     # the memo holds tuples: a corner of lists could be changed for the whole
-    # process by any holder of one of its rows
-    corner = schubert._tall_corner(Box(max(k, n - k), min(k, n - k)), m)
-    assert type(corner) is tuple and all(type(row) is tuple for row in corner)
+    # process by any holder of one of its rows.  A wide key keeps its own
+    # flipped rows, and the tall partner's corner it read is kept too
+    for key in {(m, n, k), (m, n, max(k, n - k))}:
+        corner = schubert._corner(*key)
+        assert type(corner) is tuple and all(type(row) is tuple for row in corner)
+    assert list(map(list, schubert._corner(m, n, k))) == A
     want = [list(row) for row in A]
     for row in A:
         row[:] = [7] * len(row)
     A.append([])
     assert a_matrix(m, n, k) == want
-    schubert._tall_corner.cache_clear()
+    schubert._corner.cache_clear()
     assert a_matrix(m, n, k) == want  # and equal to a cold one
 
 
 def test_a_memoized_corner_is_refused_past_the_cell_limit():
-    # G(2, 6) and G(4, 6) read the one memoized corner of box 4x2, but the
-    # box asked for is checked first
-    schubert._tall_corner.cache_clear()
+    # G(2, 6) and G(4, 6) keep a memoized corner each, the wide one flipped
+    # from the tall one, but the box asked for is checked first
+    schubert._corner.cache_clear()
     want = {k: a_matrix(6, 6, k) for k in (2, 4)}
-    assert schubert._tall_corner.cache_info().currsize == 1
+    assert schubert._corner.cache_info().currsize == 2
     old = set_box_cell_limit(7)
     try:
         for k in (2, 4):
