@@ -44,7 +44,7 @@ from math import comb, factorial, prod
 from operator import add, neg
 
 from ._record import FrozenRecord
-from .errors import ConsistencyError, ParameterError, check_params
+from .errors import ConsistencyError, ParameterError, check_params, plain_ints
 from .partitions import binom
 from .schubert import Box, a_matrix
 
@@ -215,13 +215,12 @@ def at_minus_one_minus_t(p) -> list[int]:
     """Coefficients of p(-1-t) from those of p(t) (index = power, same
     length), as a Kronecker substitution (module docstring): Horner's rule
     q <- c + q (-1-X) runs from the highest nonzero coefficient down (a
-    class of a d-dimensional variety is zero above [P^d])."""
+    class of a d-dimensional variety is zero above [P^d]).  An empty or
+    all-zero p runs no step and reads back as len(p) zeros."""
     top = len(p) - 1
     while top >= 0 and not p[top]:
         top -= 1
-    if top < 0:
-        return [0] * len(p)
-    width = _digit_width(max(map(int.bit_length, p)) + top + 2)  # bit_length ignores the sign
+    width = _digit_width(max(map(int.bit_length, p), default=0) + top + 2)  # bit_length ignores the sign
     shift = 8 * width
     q = 0
     for c in reversed(p[: top + 1]):
@@ -354,8 +353,8 @@ def chern_fulton_hypersurface(n: int) -> ProjClass:
     """Chern-Fulton class of the degree-n determinant hypersurface in
     P^(n^2-1): sum_j h_j H^j = nH (1+H)^(n^2) / (1+nH) mod H^(n^2), so
     h_0 = 0 and h_j = n binom(n^2, j-1) - n h_(j-1)."""
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
+    if not (plain_ints(n) and n >= 2):
+        raise ParameterError(f"need an int n >= 2, got {n!r}")
     h = [0]
     for j in range(1, n * n):
         h.append(n * binom(n * n, j - 1) - n * h[-1])
@@ -374,5 +373,8 @@ def cm_cache_export() -> dict[tuple[int, int, int], tuple[int, ...]]:
 
 
 def cm_cache_import(entries: dict[tuple[int, int, int], tuple[int, ...]]) -> None:
+    """Seed the Chern-Mather memo; existing keys are kept.  Each value must
+    already be a valid class, a tuple of mn plain ints: it is stored as it
+    is (ProjClass._trusted), as cli.load_caches checks every entry first."""
     for key, coeffs in entries.items():
-        _CM_CACHE.setdefault(key, ProjClass(len(coeffs) - 1, coeffs))
+        _CM_CACHE.setdefault(key, ProjClass._trusted(coeffs))

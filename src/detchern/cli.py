@@ -50,7 +50,7 @@ from .classes import (
     milnor_class,
     variety_dim,
 )
-from .errors import BoxSizeError, ConsistencyError, ParameterError, check_params
+from .errors import BoxSizeError, ConsistencyError, ParameterError, check_params, plain_ints
 from .lagrangian import (
     ch_from_class,
     charcycle,
@@ -73,7 +73,9 @@ _DECIMAL = re.compile(r"-?[0-9]+")  # how save_caches writes a cm.json coefficie
 
 
 class OutputDocument(Record):
-    """Lossless, deterministic serialization of one computed payload."""
+    """Lossless, deterministic serialization of one computed payload.  It is
+    written, never read back: to_json's fields are __init__'s keywords, so
+    OutputDocument(**json.loads(text)) rebuilds one where needed."""
 
     __slots__ = ("kind", "m", "n", "k", "basis", "coefficients", "meta", "version")
 
@@ -86,10 +88,6 @@ class OutputDocument(Record):
 
     def to_json(self) -> str:
         return json.dumps(dict(zip(self.__slots__, self._values())), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, blob: str) -> "OutputDocument":
-        return cls(**json.loads(blob))
 
     def to_csv(self) -> str:
         return "\n".join(map(",".join, self._rows()))
@@ -140,8 +138,8 @@ def scan_conjectures(m_max: int, n_max: int) -> ScanReport:
     never raised.  Every box the scan meets, up to the largest
     floor(n_max/2) x ceil(n_max/2), is checked against the cell limit
     before the first instance, so a refusal names the first one past it."""
-    if not (2 <= n_max <= m_max):
-        raise ParameterError(f"need 2 <= n_max <= m_max, got {m_max}, {n_max}")
+    if not (plain_ints(m_max, n_max) and 2 <= n_max <= m_max):
+        raise ParameterError(f"need ints 2 <= n_max <= m_max, got {m_max!r}, {n_max!r}")
     for n in range(2, n_max + 1):
         check_strata(n, 1)
     report = ScanReport(m_max, n_max)

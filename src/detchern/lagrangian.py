@@ -34,7 +34,7 @@ from operator import add, neg
 
 from ._record import Record
 from .classes import CoeffVector, ProjClass, at_minus_one_minus_t, cm_class, strata_sum, variety_dim
-from .errors import ConsistencyError, ParameterError, check_params
+from .errors import ConsistencyError, ParameterError, check_params, plain_ints
 from .partitions import binom
 from .schubert import Box, a_matrix
 
@@ -216,8 +216,8 @@ def symmetry_check(m: int, n: int) -> SymmetryReport:
     """Verify the flip (anti)symmetry of Ch(tau(m, n, 1)) dictated by the
     parities of m and n, and the binomial flip identity relating the
     characteristic cycles of the open strata for every k."""
-    if not (2 <= n <= m):
-        raise ParameterError(f"need 2 <= n <= m, got m={m} n={n}")
+    if not (plain_ints(m, n) and 2 <= n <= m):
+        raise ParameterError(f"need ints 2 <= n <= m, got m={m!r} n={n!r}")
     report = SymmetryReport(m, n)
     ch1 = charcycle(m, n, 1)
     sign = -1 if (m % 2 == 0 and n % 2 == 1) else 1

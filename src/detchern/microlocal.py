@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._record import FrozenRecord
 from .classes import StrataVector
-from .errors import ConsistencyError, ParameterError, check_params
+from .errors import ConsistencyError, ParameterError, check_params, plain_ints
 from .lagrangian import BiProjClass, conormal
 from .partitions import binom
 
@@ -50,8 +50,8 @@ def stalk_euler(m: int, n: int, k: int) -> StrataVector:
 def obstruction_matrix(n: int) -> list[list[int]]:
     """Local Euler obstructions between strata closures: entry (j, i) is
     binom(j, i), a unit lower-triangular Pascal matrix."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    if not (plain_ints(n) and n >= 1):
+        raise ParameterError(f"need an int n >= 1, got {n!r}")
     return [[binom(j, i) for i in range(n)] for j in range(n)]
 
 

@@ -23,6 +23,8 @@ from itertools import accumulate
 from math import comb
 from types import MappingProxyType
 
+from .errors import plain_ints
+
 Partition = tuple[int, ...]
 
 
@@ -34,8 +36,12 @@ def binom(a: int, b: int) -> int:
 
 
 def normalize(parts) -> Partition:
-    """Validate weak decrease and strip trailing zeros."""
-    parts = tuple(int(p) for p in parts)
+    """Validate weak decrease and strip trailing zeros.  Every part must be
+    a plain int (errors.plain_ints): a float, a str or a bool is a
+    TypeError, not converted."""
+    parts = tuple(parts)
+    if not plain_ints(*parts):
+        raise TypeError(f"a part of {parts} is not an int")
     for left, right in zip(parts, parts[1:]):
         if left < right:
             raise ValueError(f"not weakly decreasing: {parts}")
@@ -58,20 +64,22 @@ def conjugate(lam: Partition) -> Partition:
 
 
 def partitions_in_box(rows: int, cols: int) -> tuple[Partition, ...]:
-    """All partitions fitting in a rows x cols rectangle, lexicographically sorted."""
+    """All partitions fitting in a rows x cols rectangle, lexicographically
+    sorted: each prefix comes before its extensions, which take their next
+    part in ascending order, so the recursion emits that order itself."""
     out: list[Partition] = []
 
     def build(prefix: list[int], maxpart: int, depth: int) -> None:
         out.append(tuple(prefix))
         if depth == rows:
             return
-        for p in range(maxpart, 0, -1):
+        for p in range(1, maxpart + 1):
             prefix.append(p)
             build(prefix, p, depth + 1)
             prefix.pop()
 
     build([], cols, 0)
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 # Universal LR expansions as read-only views, keyed by the normalized (lam, mu).
@@ -136,7 +144,9 @@ def lr_expansion(lam, mu) -> Mapping[Partition, int]:
     """Expansion of the product of Schur functions s_lam * s_mu in the Schur
     basis: a read-only map nu -> c^nu_{lam,mu} over the nonzero LR
     coefficients.  Both arguments (tuples, lists, trailing zeros) are
-    normalized, and the normalized pair is looked up once."""
+    normalized, and the normalized pair is looked up once.  An empty mu
+    gives {lam: 1}; an empty lam needs no branch, as the chain of strips
+    of mu's rows from the empty shape is mu alone."""
     lam = normalize(lam)
     mu = normalize(mu)
     key = (lam, mu)
@@ -145,8 +155,6 @@ def lr_expansion(lam, mu) -> Mapping[Partition, int]:
         return hit
     if not mu:
         result = {lam: 1}
-    elif not lam:
-        result = {mu: 1}
     elif len(mu) > mu[0]:  # fewer strips after conjugating: c^nu_{lam,mu} = c^nu'_{lam',mu'}
         result = {conjugate(nu): c for nu, c in _lr_chains(conjugate(lam), conjugate(mu)).items()}
     else:

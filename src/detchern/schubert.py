@@ -45,7 +45,7 @@ from functools import lru_cache
 from math import comb, prod
 
 from ._record import FrozenRecord
-from .errors import BoxSizeError, ConsistencyError, ParameterError, check_params
+from .errors import BoxSizeError, ConsistencyError, ParameterError, check_params, plain_ints
 from .partitions import Partition, conjugate, fits_in, lr_expansion, normalize, partitions_in_box
 
 # Desk-scale guardrail against accidental combinatorial blowup; override via
@@ -56,9 +56,11 @@ _box_cell_limit = DEFAULT_BOX_CELL_LIMIT
 
 def set_box_cell_limit(cells: int) -> int:
     """Set the maximum allowed rows*cols for a Box; returns the old limit.
-    A limit below 1, which no box fits, is a ParameterError."""
+    A limit that is not a plain int, or is below 1 (no box fits it), is a
+    ParameterError."""
     global _box_cell_limit
-    cells = int(cells)
+    if not plain_ints(cells):
+        raise ParameterError(f"the box cell limit must be an int, got {cells!r}")
     if cells < 1:
         raise ParameterError(f"the box cell limit must be at least 1, got {cells}")
     old = _box_cell_limit
@@ -72,8 +74,8 @@ class Box(FrozenRecord):
     __slots__ = ("rows", "cols")
 
     def __init__(self, rows: int, cols: int):
-        if rows < 1 or cols < 1:
-            raise ParameterError(f"box sides must be positive, got {rows}x{cols}")
+        if not (plain_ints(rows, cols) and rows >= 1 and cols >= 1):
+            raise ParameterError(f"box sides must be positive ints, got {rows!r}x{cols!r}")
         Box.check(rows, cols)
         self._freeze(rows, cols)
 
@@ -221,10 +223,9 @@ def integrate(x: ChowClass) -> int:
 def pairing(x: ChowClass, y: ChowClass) -> int:
     """integrate(x * y) by Poincare duality: s_lam * s_mu has degree 1 when
     mu is the complement of lam in the box, rotated by 180 degrees, and 0
-    otherwise."""
+    otherwise.  Symmetric in x and y; it looks up the complements of x's
+    terms in y."""
     x._check_box(y)
-    if len(x.terms) > len(y.terms):
-        x, y = y, x  # look up the complements of the sparser class
     return sum(c * y.terms.get(x.box.complement(lam), 0) for lam, c in x.terms.items())
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import json
 import os
@@ -22,7 +23,7 @@ from detchern.cli import (
     run,
     scan_conjectures,
 )
-from detchern.errors import BoxSizeError, ParameterError
+from detchern.errors import BoxSizeError, ParameterError, check_params
 from detchern.lagrangian import SymmetryReport
 
 
@@ -55,7 +56,7 @@ def test_amatrix_markdown(capsys):
 def test_json_document_roundtrip(capsys):
     code, out, _ = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "1")
     assert code == 0
-    doc = OutputDocument.from_json(out)
+    doc = OutputDocument(**json.loads(out))
     assert doc.to_json() == out.strip()
     assert doc.kind == "cm"
     assert doc.coefficients == [str(v) for v in (18, 54, 102, 126, 102, 54, 18, 3, 0)]
@@ -65,10 +66,10 @@ def test_document_roundtrip_all_vector_kinds():
     for kind in ["cm", "csm", "csm_open", "eu", "conormal", "charcycle",
                  "charcycle_open", "polar", "ged", "microlocal", "amatrix", "dual_check"]:
         doc = compute_document(kind, 3, 3, 1)
-        assert OutputDocument.from_json(doc.to_json()) == doc
+        assert OutputDocument(**json.loads(doc.to_json())) == doc
     for kind in ["fulton", "milnor"]:
         doc = compute_document(kind, None, 3, None)
-        assert OutputDocument.from_json(doc.to_json()) == doc
+        assert OutputDocument(**json.loads(doc.to_json())) == doc
 
 
 def test_output_determinism(capsys):
@@ -250,7 +251,7 @@ def test_check_flag(capsys):
 def test_dual_check(capsys):
     code, out, _ = invoke(capsys, "dual_check", "-m", "4", "-n", "4", "-k", "1")
     assert code == 0
-    doc = OutputDocument.from_json(out)
+    doc = OutputDocument(**json.loads(out))
     assert doc.meta["dual_of"] == "(4,4,3)"
 
 
@@ -656,7 +657,7 @@ def test_cache_stale_lr_file_ignored(capsys, tmp_path):
     code, out, err = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(cache))
     assert code == 0
     assert "warning" not in err
-    assert OutputDocument.from_json(out).coefficients[0] == "18"
+    assert json.loads(out)["coefficients"][0] == "18"
     assert (cache / "lr.json").read_text() == "{not json"
 
 
@@ -667,7 +668,7 @@ def test_cache_unwritable_dir_warns(capsys, tmp_path):
     assert code == 0
     assert "warning: could not save cache" in err
     assert "Traceback" not in err
-    assert OutputDocument.from_json(out).coefficients[0] == "18"
+    assert json.loads(out)["coefficients"][0] == "18"
 
 
 def test_cache_save_that_fails_partway_leaves_the_old_file(capsys, tmp_path, monkeypatch):
@@ -684,7 +685,7 @@ def test_cache_save_that_fails_partway_leaves_the_old_file(capsys, tmp_path, mon
 
     monkeypatch.setattr(cli.json, "dump", dump_then_fail)
     code, out, err = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "2", "--cache-dir", str(cache))
-    assert code == 0 and OutputDocument.from_json(out).coefficients[0] == "9"
+    assert code == 0 and json.loads(out)["coefficients"][0] == "9"
     assert "warning: could not save cache" in err and "Traceback" not in err
     assert sorted(p.name for p in cache.iterdir()) == ["cm.json"]
     assert (cache / "cm.json").read_bytes() == before
@@ -714,7 +715,7 @@ def test_cache_invalid_entry_rejected(capsys, tmp_path, monkeypatch, entry):
     code, out, err = invoke(capsys, "csm", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(cache))
     assert code == 0
     assert "warning: ignoring corrupt cache" in err
-    assert OutputDocument.from_json(out).coefficients == "9,36,78,108,96,54,18,3,0".split(",")
+    assert json.loads(out)["coefficients"] == "9,36,78,108,96,54,18,3,0".split(",")
     rebuilt = json.loads((cache / "cm.json").read_text())["cm"]
     assert rebuilt["3,3,1"][0] == "18" and len(rebuilt["3,3,1"]) == 9
     assert rebuilt.keys() & entry.keys() <= {"3,3,1"}
@@ -741,7 +742,7 @@ def test_cache_corrupt_file_recovers(capsys, tmp_path):
     code, out, err = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(cache))
     assert code == 0
     assert "warning" in err
-    assert OutputDocument.from_json(out).coefficients[0] == "18"
+    assert json.loads(out)["coefficients"][0] == "18"
     assert json.loads((cache / "cm.json").read_text())["cm"]["3,3,1"][0] == "18"
 
 
@@ -752,7 +753,7 @@ def test_cache_non_object_file_recovers(capsys, tmp_path):
     code, out, err = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(cache))
     assert code == 0
     assert "warning: ignoring corrupt cache" in err
-    assert OutputDocument.from_json(out).coefficients[0] == "18"
+    assert json.loads(out)["coefficients"][0] == "18"
 
 
 def test_cache_version_mismatch_rebuilt(capsys, tmp_path):
@@ -761,7 +762,7 @@ def test_cache_version_mismatch_rebuilt(capsys, tmp_path):
     (cache / "cm.json").write_text(json.dumps({"version": "ancient", "cm": {"3,3,1": ["1"]}}))
     code, out, _ = invoke(capsys, "cm", "-m", "3", "-n", "3", "-k", "1", "--cache-dir", str(cache))
     assert code == 0
-    assert OutputDocument.from_json(out).coefficients[0] == "18"
+    assert json.loads(out)["coefficients"][0] == "18"
     rebuilt = json.loads((cache / "cm.json").read_text())
     assert rebuilt["version"] != "ancient"
     assert rebuilt["cm"]["3,3,1"][0] == "18"
@@ -893,3 +894,69 @@ def test_cache_entries_past_the_digit_limit_load(capsys, tmp_path, monkeypatch, 
     after = (tmp_path / "cm.json").stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     assert sys.get_int_max_str_digits() == 640
+
+
+# --- plain ints at every public entry ---------------------------------------
+
+
+def test_a_refused_float_leaves_no_entry_in_the_memos(capsys):
+    # a float m that passed check_params would store a corner of floats
+    # under the key (7, 7, 4), which equals (7.0, 7, 4), and the ged of the
+    # dual box would read it and raise out of run().  It is refused first
+    # (the refusal itself is pinned below), so run() sees clean memos.
+    from conftest import empty_engine_memos
+
+    empty_engine_memos()
+    with contextlib.suppress(ParameterError):
+        schubert.a_matrix(7.0, 7, 4)
+    assert invoke(capsys, "ged", "-m", "7", "-n", "7", "-k", "3", "--format", "csv")[:2] == (0, "2851033675\n")
+    assert all(type(a) is int for row in schubert.a_matrix(7, 7, 4) for a in row)
+
+
+# (entry, the plain int it accepts where each test puts the refused value)
+PLAIN_INT_ENTRIES = {
+    "check_params-m": (lambda v: check_params(v, 3, 1), 4),
+    "check_params-k": (lambda v: check_params(4, 3, v), 1),
+    "Box": (lambda v: schubert.Box(v, 2), 1),
+    "set_box_cell_limit": (schubert.set_box_cell_limit, schubert.DEFAULT_BOX_CELL_LIMIT),
+    "symmetry_check": (lambda v: lagrangian.symmetry_check(3, v), 2),
+    "scan_conjectures": (lambda v: scan_conjectures(v, 2), 2),
+    "chern_fulton_hypersurface": (classes.chern_fulton_hypersurface, 2),
+    "obstruction_matrix": (microlocal.obstruction_matrix, 1),
+}
+
+
+@pytest.mark.parametrize("convert", [float, str, bool])
+@pytest.mark.parametrize("name", PLAIN_INT_ENTRIES)
+def test_every_public_entry_refuses_a_parameter_that_is_not_an_int(name, convert):
+    entry, valid = PLAIN_INT_ENTRIES[name]
+    entry(valid)
+    with pytest.raises(ParameterError, match="int"):
+        entry(convert(valid))
+    assert schubert._box_cell_limit == schubert.DEFAULT_BOX_CELL_LIMIT
+
+
+@pytest.mark.parametrize("name", PLAIN_INT_ENTRIES)
+def test_every_public_entry_refuses_a_numpy_integer(name):
+    np = pytest.importorskip("numpy")
+    entry, valid = PLAIN_INT_ENTRIES[name]
+    with pytest.raises(ParameterError, match="int"):
+        entry(np.int64(valid))
+    assert schubert._box_cell_limit == schubert.DEFAULT_BOX_CELL_LIMIT
+
+
+def test_load_caches_imports_classes_of_plain_ints(capsys, tmp_path, monkeypatch):
+    # cm_cache_import stores each entry as it is, so load_caches must hand
+    # it mn plain ints per class
+    monkeypatch.setattr(classes, "_CM_CACHE", {})  # the file holds these runs' classes only
+    for argv in (["csm", "-m", "4", "-n", "4", "-k", "1"], ["cm", "-m", "5", "-n", "3", "-k", "2"]):
+        assert invoke(capsys, *argv, "--cache-dir", str(tmp_path))[0] == 0
+    monkeypatch.setattr(classes, "_CM_CACHE", {})
+    entries = cli.load_caches(str(tmp_path))
+    assert set(entries) == set(classes._CM_CACHE) == {(4, 4, 1), (4, 4, 2), (4, 4, 3), (5, 3, 2)}
+    for (m, n, k), cls in classes._CM_CACHE.items():
+        assert type(cls) is ProjClass and type(cls.coeffs) is tuple and len(cls.coeffs) == m * n
+        assert all(type(c) is int for c in cls.coeffs)
+        assert cls.coeffs == entries[m, n, k]
+    monkeypatch.setattr(classes, "_CM_CACHE", {})
+    assert all(classes.cm_class(*key).coeffs == coeffs for key, coeffs in entries.items())

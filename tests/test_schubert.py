@@ -16,6 +16,7 @@ from detchern.partitions import (
     lr_cache_export,
     lr_cache_import,
     lr_expansion,
+    normalize,
     partitions_in_box,
 )
 from detchern.schubert import (
@@ -667,3 +668,48 @@ def test_pieri_fast_path_keeps_shapes_outside_every_small_box():
     assert lr_expansion((2, 1), (1, 1, 1)) == {
         (3, 2, 1): 1, (3, 1, 1, 1): 1, (2, 2, 1, 1): 1, (2, 1, 1, 1, 1): 1,
     }
+
+
+# --- general paths that replaced special cases -------------------------------
+
+
+def test_lr_expansion_of_an_empty_lam_is_mu_by_the_chain_rule():
+    # no branch for lam = (): the strips of mu's rows, grown from the empty
+    # shape, leave mu alone, for one-row, tall and wide mu alike
+    _LR_CACHE.clear()
+    for mu in partitions_in_box(5, 5):
+        assert dict(lr_expansion((), mu)) == {mu: 1}, mu
+
+
+def test_partitions_in_box_come_out_sorted():
+    # the recursion takes parts in ascending order, so it emits the
+    # lexicographic order itself; _row_pieri's shape indices rely on it
+    for rows in range(1, 6):
+        for cols in range(1, 6):
+            shapes = partitions_in_box(rows, cols)
+            assert shapes == tuple(sorted(shapes)) and len(set(shapes)) == binom(rows + cols, rows)
+
+
+def test_pairing_is_symmetric_for_a_sparse_and_a_dense_class():
+    box = Box(3, 3)
+    sparse = schubert_class(box, (2, 1)) * 4 - schubert_class(box, (3,))
+    dense = ChowClass(box, {lam: x * x - 7 for x, lam in enumerate(partitions_in_box(3, 3))})
+    for x, y in [(sparse, dense), (dense, sparse), (dense, dense), (sparse, sparse)]:
+        assert pairing(x, y) == pairing(y, x) == integrate(x * y)
+
+
+@pytest.mark.parametrize("parts", [(2.5, 1), ("2", True), (2.0,), (True,), [3, 1.0]])
+def test_normalize_refuses_a_part_that_is_not_an_int(parts):
+    with pytest.raises(TypeError, match="not an int"):
+        normalize(parts)
+    with pytest.raises(TypeError):
+        lr_expansion(parts, (1,))
+    with pytest.raises(TypeError):
+        schubert_class(Box(3, 3), parts)
+
+
+def test_normalize_refuses_a_numpy_integer():
+    np = pytest.importorskip("numpy")
+    with pytest.raises(TypeError):
+        normalize((np.int64(2), 1))
+    assert normalize([2, 1, 0]) == (2, 1)
