@@ -35,6 +35,7 @@ import sys
 import time
 from itertools import zip_longest
 
+from . import __version__
 from ._record import Record
 from .classes import (
     check_closed_forms,
@@ -65,7 +66,7 @@ from .lagrangian import (
 from .microlocal import determinantal_system, ic_char_cycle, solve_multiplicities
 from .schubert import a_matrix, set_box_cell_limit
 
-TOOL_VERSION = "detchern 0.1.0"
+TOOL_VERSION = f"detchern {__version__}"
 DOC_VERSION = "1"
 CACHE_VERSION = "detchern-cache-1"
 CACHE_DIR_ENV = "DETCHERN_CACHE_DIR"
@@ -204,8 +205,8 @@ def reproduce_reference_tables(fixtures=None) -> TableReport:
     for kind, key, expected in (default_fixtures() if fixtures is None else fixtures):
         m, n, k = key if len(key) == 3 else (key[0], key[0], 1)  # fulton, milnor: (n,)
         actual = KINDS[kind][1](m, n, k)
-        if isinstance(expected, (int, str)):
-            cells = [(0, int(expected), actual)]
+        if isinstance(expected, int):
+            cells = [(0, expected, actual)]
         elif expected and isinstance(expected[0], tuple):  # a missing cell reads None
             cells = [((i, j), e, a) for i, (erow, arow) in enumerate(zip_longest(expected, actual, fillvalue=()))
                      for j, (e, a) in enumerate(zip_longest(erow, arow))]
@@ -225,8 +226,11 @@ def reproduce_reference_tables(fixtures=None) -> TableReport:
 def load_caches(cache_dir: str, check: bool = False) -> dict | None:
     """Seed the Chern-Mather cache from cm.json; returns the entries when the
     file loaded cleanly, None when it is missing, stale or corrupt (run then
-    rewrites it).  Every entry must pass check_closed_forms: a file with
-    one that does not is corrupt like any other, and under `check` it is a
+    rewrites it).  Whatever fails while the file is read makes it corrupt,
+    whatever the exception: a warning, never a traceback.  A key must be
+    exactly "m,n,k" as save_caches writes it, so no two keys name one
+    class.  Every entry must pass check_closed_forms: a file with one that
+    does not is corrupt like any other, and under `check` it is a
     ConsistencyError that names the file (the file is then left as it is)."""
     path = os.path.join(cache_dir, "cm.json")
     if not os.path.exists(path):
@@ -240,7 +244,7 @@ def load_caches(cache_dir: str, check: bool = False) -> dict | None:
         for key, coeffs in data["cm"].items():
             m, n, k = (int(x) for x in key.split(","))
             check_params(m, n, k, k_min=0)
-            if not isinstance(coeffs, list) or len(coeffs) != m * n:
+            if not isinstance(coeffs, list) or len(coeffs) != m * n or key != f"{m},{n},{k}":
                 raise ValueError(f"entry {key!r} does not describe a class of tau(m, n, k)")
             if not all(isinstance(c, str) and _DECIMAL.fullmatch(c) for c in coeffs):
                 raise ValueError(f"entry {key!r} has a coefficient that is not a decimal string")
@@ -253,7 +257,7 @@ def load_caches(cache_dir: str, check: bool = False) -> dict | None:
             entries[(m, n, k)] = values
         cm_cache_import(entries)
         return entries
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, ConsistencyError) as exc:
+    except Exception as exc:
         if check and isinstance(exc, ConsistencyError):
             raise ConsistencyError(f"cache {path}: {exc}") from None
         print(f"warning: ignoring corrupt cache {path}: {exc}", file=sys.stderr)

@@ -7,9 +7,9 @@ result against their box after lookup.  One kernel computes every product:
 s_lam * s_mu adds one horizontal strip per row of mu, the strip of value v
 bounded by the lattice slack that value v-1 left, and counts the chains of
 shapes; a strip fills the rows below the first, and the first row takes
-the rest.  A one-row factor is a single strip (Pieri rule); a factor with
-more rows than columns is expanded through the conjugates, so there are
-never more strips than columns of mu.  lr_expansion normalizes its
+the rest.  A one-row factor is a single strip (Pieri rule), the only
+factor the engine asks for; a tall factor runs one strip per row like any
+other.  lr_expansion normalizes its
 arguments and then looks the expansion up in a cache that is shared
 process-wide and lives in memory only; it holds read-only views, so no
 caller can change a later product.  lr_cache_export/lr_cache_import
@@ -153,12 +153,7 @@ def lr_expansion(lam, mu) -> Mapping[Partition, int]:
     hit = _LR_CACHE.get(key)
     if hit is not None:
         return hit
-    if not mu:
-        result = {lam: 1}
-    elif len(mu) > mu[0]:  # fewer strips after conjugating: c^nu_{lam,mu} = c^nu'_{lam',mu'}
-        result = {conjugate(nu): c for nu, c in _lr_chains(conjugate(lam), conjugate(mu)).items()}
-    else:
-        result = _lr_chains(lam, mu)
+    result = _lr_chains(lam, mu) if mu else {lam: 1}
     _LR_CACHE[key] = result = MappingProxyType(result)
     return result
 

@@ -5,20 +5,20 @@ the k x (n-k) box to arbitrary-precision integers.  A product looks up the
 universal Littlewood-Richardson expansion of each pair of terms and keeps
 the partitions that fit the box (pairs whose degrees add up past the box
 dimension are not expanded at all); the expansion is a chain of horizontal
-strips, a single one (the Pieri rule) for a row or column class.  On top of
+strips, a single one (the Pieri rule) for a row class.  On top of
 the ring the module provides the Chern classes of the universal bundles,
 Chern classes of their m-fold (dualized) direct sums, the total Chern class
 of the tangent bundle from its power sums (Murnaghan-Nakayama rule, one
 bead pass per shape for every power, and Newton's identities, no LR
 products; for a tall box read off the transposed one; the terms t and
 i-t of p_i(T) cancel
-for odd i, leaving n p_i(x), and coincide for even i), the degree map, the
-Poincare-duality pairing, and the matrix of degrees of tangent-twisted
-products of those Chern classes that drives the characteristic-class
-formulas downstream.  That matrix is kept as its (dim+1)^2 corner,
-dim = k(n-k), the only block of the paper's (m(n-k)+1)^2 matrix that can
-be nonzero; it takes no products of classes: its rows
-come from c(T_G) in one pass of Miller's recurrence for c(Q*)^m, on
+for odd i, leaving n p_i(x), and coincide for even i), the degree map,
+and the matrix of degrees of tangent-twisted products of those Chern
+classes that drives the characteristic-class formulas downstream.  That
+matrix is kept as its (dim+1)^2 corner, dim = k(n-k), the only block of
+the paper's (m(n-k)+1)^2 matrix that can be nonzero; it takes no
+products of classes: its rows come from c(T_G) in one pass of Miller's
+recurrence for c(Q*)^m, on
 dense lists over the shape indices of partitions_in_box, with row Pieri
 steps s_(e), e <= min(k, n-k), in the tall or square box
 max(k, n-k) x min(k, n-k).  A wide box (k < n-k) flips the matrix of
@@ -218,15 +218,6 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
 def integrate(x: ChowClass) -> int:
     """Degree map: the coefficient of the point class (full box)."""
     return x.terms.get(x.box.full, 0)
-
-
-def pairing(x: ChowClass, y: ChowClass) -> int:
-    """integrate(x * y) by Poincare duality: s_lam * s_mu has degree 1 when
-    mu is the complement of lam in the box, rotated by 180 degrees, and 0
-    otherwise.  Symmetric in x and y; it looks up the complements of x's
-    terms in y."""
-    x._check_box(y)
-    return sum(c * y.terms.get(x.box.complement(lam), 0) for lam, c in x.terms.items())
 
 
 def chern_Q(box: Box) -> list[ChowClass]:

@@ -706,6 +706,11 @@ CM_331 = ["18", "54", "102", "126", "102", "54", "18", "3", "0"]  # cm -m 3 -n 3
     # each of the next two passes the closed forms, which read only [P^0] and [P^dim]
     {"3,3,1": [*CM_331[:8], "1"]},  # nonzero at [P^8], above [P^7] = [P^dim]
     {"3,4,1": ["36", *["0"] * 10, "1"]},  # n > m, with 12 * binom(3, 1) at [P^0] and degree 1 at [P^11]
+    # a true class under a key that int() reads as (3, 3, 1), but not as save_caches writes it
+    {"+3,3,1": CM_331},
+    {"٣,٣,١": CM_331},
+    {"03,3,1": CM_331},
+    {"3, 3,1": CM_331},
 ])
 def test_cache_invalid_entry_rejected(capsys, tmp_path, monkeypatch, entry):
     monkeypatch.setattr(classes, "_CM_CACHE", {})  # the classes are read from the file
@@ -754,6 +759,21 @@ def test_cache_non_object_file_recovers(capsys, tmp_path):
     assert code == 0
     assert "warning: ignoring corrupt cache" in err
     assert json.loads(out)["coefficients"][0] == "18"
+
+
+@pytest.mark.parametrize("check", [(), ("--check",)], ids=["plain", "check"])
+def test_cache_nested_file_recovers(capsys, tmp_path, check):
+    # json.load gives up on 100,000 nested lists with a RecursionError, which
+    # is a failure to read the file like any other: a warning, not a traceback
+    argv = ["cm", "-m", "3", "-n", "3", "-k", "1", "--format", "csv", *check]
+    cold = invoke(capsys, *argv)[:2]
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "cm.json").write_text("[" * 100_000)
+    code, out, err = invoke(capsys, *argv, "--cache-dir", str(cache))
+    assert (code, out) == cold == (0, ",".join(CM_331) + "\n")
+    assert "warning: ignoring corrupt cache" in err and "Traceback" not in err
+    assert json.loads((cache / "cm.json").read_text())["cm"]["3,3,1"] == CM_331
 
 
 def test_cache_version_mismatch_rebuilt(capsys, tmp_path):
